@@ -6,8 +6,8 @@
 //! The store is the persistence tier of the compile service
 //! (`tiramisu::service`): compiled bytecode, disassembly, and compile
 //! traces are serialized into one file per [`ArtifactKey`] and survive
-//! process restart. The serialization format is hand-rolled (the vendored
-//! `serde` is a compat stub), following the same policy as the
+//! process restart. The serialization format is hand-rolled (the workspace
+//! has no `serde`), following the same policy as the
 //! hand-written JSON in `BENCH_figures.json`.
 //!
 //! Design points:

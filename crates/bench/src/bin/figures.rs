@@ -32,7 +32,7 @@ use bench::{default_img, fig1_cpu, fig1_gpu, fig5, fig6, fig7, normalized, rende
 use std::time::Instant;
 
 /// Minimal JSON string escape (quotes/backslashes/control chars) — the
-/// vendored serde is a stub, so the snapshot is written by hand.
+/// workspace has no serde, so the snapshot is written by hand.
 fn jstr(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
@@ -364,30 +364,6 @@ fn build_sections(want: &dyn Fn(&str) -> bool) -> Vec<String> {
             st.compiles, st.memory_hits, st.disk_hits, st.dedup_waits, st.busy_rejections, st.corrupt_artifacts
         ));
         let _ = std::fs::remove_dir_all(&dir);
-
-        // The per-machine bytecode LRU sits in front of the service: run
-        // the sgemm program twice on one machine and show the capacity,
-        // occupancy, and hit/miss/eviction counters (the same numbers the
-        // `vm.bc_cache.*` metrics aggregate process-wide).
-        let (lf, _, _) = kernels::sgemm::layer1(1.0, 1.0);
-        let module = tiramisu::compile_cpu(
-            &lf,
-            &[("N", 32)],
-            tiramisu::CpuOptions { check_legality: false, ..Default::default() },
-        )
-        .expect("sgemm compile");
-        let mut m = module.machine();
-        m.run(&module.program).expect("run 1");
-        m.run(&module.program).expect("run 2");
-        let cs = m.cache_stats();
-        println!(
-            "  machine bc-cache: capacity={} occupancy={} hits={} misses={} evictions={}\n",
-            m.cache_capacity(),
-            m.cache_len(),
-            cs.hits,
-            cs.misses,
-            cs.evictions
-        );
     }
 
     sections

@@ -1,6 +1,6 @@
 //! A minimal JSON reader for the benchmark snapshot.
 //!
-//! The vendored serde is a stub, so `BENCH_figures.json` is both written
+//! The workspace has no serde, so `BENCH_figures.json` is both written
 //! (by the `figures` binary, hand-formatted) and read (by the
 //! perf-regression gate, via this module) without external crates. The
 //! parser covers exactly the JSON the snapshot uses — objects, arrays,

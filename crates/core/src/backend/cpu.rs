@@ -49,11 +49,6 @@ pub struct CpuModule {
     /// The parameter bindings the module was compiled for.
     pub param_values: Vec<(String, i64)>,
     trace: Option<CompileTrace>,
-    bytecode: Option<loopvm::BcProgram>,
-    /// Native code compiled from `bytecode` by the `optimize` pass when
-    /// the JIT tier is available. Never serialized: artifacts carry the
-    /// portable bytecode and reconstruction recompiles for the host.
-    jit: Option<std::sync::Arc<loopvm::jit::JitProgram>>,
 }
 
 impl CpuModule {
@@ -73,42 +68,30 @@ impl CpuModule {
         self.trace.as_ref()
     }
 
-    /// The register bytecode produced by the `optimize` pass. Run it with
-    /// [`loopvm::Machine::run_bytecode`] to amortize bytecode compilation
-    /// across runs ([`loopvm::Machine::run`] recompiles per call).
+    /// The register bytecode the `optimize` pass (or artifact decode)
+    /// attached to [`CpuModule::program`]; `None` once the program has
+    /// been changed since.
     pub fn bytecode(&self) -> Option<&loopvm::BcProgram> {
-        self.bytecode.as_ref()
-    }
-
-    /// The native x86-64 entry compiled from the bytecode by the
-    /// `optimize` pass — `None` on targets without the JIT tier or for
-    /// programs the JIT declines. Run it with
-    /// [`loopvm::Machine::run_jit`] to skip both bytecode and JIT
-    /// compilation per run.
-    pub fn jit(&self) -> Option<&loopvm::jit::JitProgram> {
-        self.jit.as_deref()
+        self.program.bytecode()
     }
 
     /// Disassembles the optimized bytecode (see `DESIGN.md` §10 for the
     /// format).
     pub fn disasm(&self) -> Option<String> {
-        self.bytecode.as_ref().map(|bc| bc.disasm(&self.program))
+        self.bytecode().map(|bc| bc.disasm(&self.program))
     }
 
     /// Rebuilds a module from decoded artifact parts ([`crate::service`]):
-    /// the pass pipeline does not run. Reconstructed modules carry no
+    /// the pass pipeline does not run, and `program` carries whatever
+    /// bytecode was decoded with it. Reconstructed modules carry no
     /// [`CompileTrace`] — the trace travels as rendered text in the
     /// artifact instead.
     pub(crate) fn from_parts(
         program: Program,
         buffer_map: HashMap<String, VmBuf>,
         param_values: Vec<(String, i64)>,
-        bytecode: Option<loopvm::BcProgram>,
     ) -> CpuModule {
-        // Artifacts never carry native code; recompile for this host.
-        let jit =
-            bytecode.as_ref().and_then(loopvm::jit::compile).map(std::sync::Arc::new);
-        CpuModule { program, buffer_map, param_values, trace: None, bytecode, jit }
+        CpuModule { program, buffer_map, param_values, trace: None }
     }
 
     /// The Tiramisu-name → VM-buffer map (for the artifact codec).
@@ -222,8 +205,6 @@ impl EmitTarget for CpuTarget {
             buffer_map: std::mem::take(&mut lm.buffer_map),
             param_values: lm.param_vals.iter().map(|(k, v)| (k.clone(), *v)).collect(),
             trace: None,
-            bytecode: None,
-            jit: None,
         })
     }
 
@@ -232,16 +213,17 @@ impl EmitTarget for CpuTarget {
     }
 
     fn optimize(&mut self, module: &mut CpuModule) -> Result<Option<(loopvm::OptStats, String)>> {
-        let bc = loopvm::opt::compile_program(&module.program)
-            .map_err(|e| Error::Backend(format!("bytecode optimization: {e}")))?;
+        let bc = module
+            .program
+            .compiled()
+            .map_err(|e| Error::Backend(format!("bytecode optimization: {e}")))?
+            .bytecode();
         let stats = bc.stats();
         let ir = if pipeline::trace::disasm_enabled() {
             bc.disasm(&module.program)
         } else {
             stats.summary()
         };
-        module.jit = loopvm::jit::compile(&bc).map(std::sync::Arc::new);
-        module.bytecode = Some(bc);
         Ok(Some((stats, ir)))
     }
 }

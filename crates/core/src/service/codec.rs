@@ -71,10 +71,6 @@ fn encode_opt_bc(bc: Option<&BcProgram>, w: &mut Writer) {
     }
 }
 
-fn decode_opt_bc(r: &mut Reader<'_>, p: &Program) -> Result<Option<BcProgram>> {
-    Ok(if r.bool()? { Some(vmc::decode_bc(r, p)?) } else { None })
-}
-
 fn decode_buf(r: &mut Reader<'_>, p: &Program) -> Result<BufId> {
     let i = r.u32()? as usize;
     if i >= p.n_buffers() {
@@ -128,11 +124,13 @@ pub(crate) fn decode_cpu(bytes: &[u8]) -> Result<CpuModule> {
     for _ in 0..n {
         param_values.push((r.str()?, r.i64()?));
     }
-    let bytecode = decode_opt_bc(&mut r, &program)?;
+    if r.bool()? {
+        vmc::decode_bc_into(&mut r, &program)?;
+    }
     if !r.is_empty() {
         return Err(malformed("trailing bytes after CPU module"));
     }
-    Ok(CpuModule::from_parts(program, buffer_map, param_values, bytecode))
+    Ok(CpuModule::from_parts(program, buffer_map, param_values))
 }
 
 // ---------------------------------------------------------------------------

@@ -1,13 +1,11 @@
 //! A small bounded LRU map with hit/miss/eviction counters.
 //!
-//! Used in two places: [`crate::Machine`]'s compiled-bytecode cache
-//! (keyed by [`crate::Program::fingerprint`]) and the compile service's
-//! in-memory module tier (keyed by the service's artifact key). Both
-//! caches hold a handful of heavyweight values, so the implementation
-//! favours simplicity: a `Vec` ordered least→most recently used, with
-//! O(len) lookup — at the capacities involved (≤ a few dozen) that is
-//! faster than hashing would be, and eviction order falls out of the
-//! ordering for free.
+//! Used by the compile service's in-memory module tier (keyed by the
+//! service's artifact key). That tier holds a handful of heavyweight
+//! values, so the implementation favours simplicity: a `Vec` ordered
+//! least→most recently used, with O(len) lookup — at the capacities
+//! involved (≤ a few dozen) that is faster than hashing would be, and
+//! eviction order falls out of the ordering for free.
 
 /// Monotonic counters describing a cache's lifetime behaviour.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -380,6 +380,18 @@ pub fn decode_bc(r: &mut Reader<'_>, p: &Program) -> Result<BcProgram> {
     Ok(BcProgram { prologue, body, n_iregs, n_fregs, n_vars, var_names, stats })
 }
 
+/// Decodes `p`'s own bytecode with [`decode_bc`] and attaches it to `p`
+/// as its compiled code ([`Program::compiled`]), so the first run needs
+/// no bytecode compile.
+///
+/// # Errors
+///
+/// Same as [`decode_bc`]; nothing is attached on error.
+pub fn decode_bc_into(r: &mut Reader<'_>, p: &Program) -> Result<()> {
+    p.attach(decode_bc(r, p)?);
+    Ok(())
+}
+
 /// Bounds the decoded bytecode must respect.
 struct Limits {
     n_iregs: u16,

@@ -39,6 +39,32 @@ use crate::vm::{bc_body_vectorizable, LANES};
 /// program uses a register pattern the allocator does not model (the
 /// caller falls back to the bytecode interpreter).
 pub fn compile(bc: &BcProgram) -> Option<JitProgram> {
+    let (mut e, main_off, par_fns) = emit(bc)?;
+    JitProgram::new(
+        std::mem::take(&mut e.a.code),
+        main_off,
+        par_fns,
+        e.deopts,
+        bc.n_vars,
+        bc.n_iregs as usize,
+        bc.n_fregs as usize,
+    )
+}
+
+/// The per-instruction textual listing of the code [`compile`] generates
+/// for `bc` (the golden-test disassembly format; helper addresses print
+/// symbolically, so it is deterministic), or `None` where the allocator
+/// declines `bc`. Rendered on request rather than kept with the code,
+/// which lives as long as its program.
+pub fn listing(bc: &BcProgram) -> Option<String> {
+    emit(bc).map(|(e, _, _)| e.a.listing())
+}
+
+/// Generates the code for `bc`: the emitter holding the finished code
+/// buffer and listing, the main function's offset, and the
+/// `(offset, loop variable)` of each `Parallel` loop function.
+#[allow(clippy::type_complexity)]
+fn emit(bc: &BcProgram) -> Option<(Emit<'_>, usize, Vec<(usize, u32)>)> {
     let pins = compute_pins(bc);
     let main_alloc =
         allocate(bc, &FnCode::Main { prologue: &bc.prologue, body: &bc.body }, &pins)?;
@@ -71,16 +97,7 @@ pub fn compile(bc: &BcProgram) -> Option<JitProgram> {
         i += 1;
     }
     e.a.finish();
-    JitProgram::new(
-        std::mem::take(&mut e.a.code),
-        e.a.listing(),
-        main_off,
-        par_fns,
-        e.deopts,
-        bc.n_vars,
-        bc.n_iregs as usize,
-        bc.n_fregs as usize,
-    )
+    Some((e, main_off, par_fns))
 }
 
 /// A `Parallel` loop queued for emission as its own function.

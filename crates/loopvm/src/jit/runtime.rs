@@ -280,7 +280,7 @@ pub(super) extern "C" fn jit_par_dispatch(ctx: *mut JitCtx, loop_id: u64, lo: i6
             let frame_proto = &frame_proto;
             let ipin_proto = &ipin_proto;
             let fpin_proto = &fpin_proto;
-            let results = crossbeam::thread::scope(|scope| {
+            let results = std::thread::scope(|scope| {
                 let mut handles = Vec::with_capacity(workers);
                 for w in 0..workers {
                     let start = lo + (w * chunk) as i64;
@@ -288,7 +288,7 @@ pub(super) extern "C" fn jit_par_dispatch(ctx: *mut JitCtx, loop_id: u64, lo: i6
                     if start >= end {
                         continue;
                     }
-                    handles.push(scope.spawn(move |_| -> Result<()> {
+                    handles.push(scope.spawn(move || -> Result<()> {
                         let mut frame = frame_proto.clone();
                         let mut ipin = ipin_proto.clone();
                         let mut fpin = fpin_proto.clone();
@@ -321,8 +321,7 @@ pub(super) extern "C" fn jit_par_dispatch(ctx: *mut JitCtx, loop_id: u64, lo: i6
                     .into_iter()
                     .map(|h| h.join().expect("worker panicked"))
                     .collect::<Vec<_>>()
-            })
-            .expect("thread scope failed");
+            });
             results.into_iter().find_map(|r| r.err())
         }));
         match outcome {
@@ -354,7 +353,6 @@ pub struct JitProgram {
     /// order.
     par_fns: Vec<(usize, u32)>,
     deopts: Vec<Deopt>,
-    listing: String,
     n_vars: usize,
     n_iregs: usize,
     n_fregs: usize,
@@ -371,10 +369,8 @@ impl std::fmt::Debug for JitProgram {
 }
 
 impl JitProgram {
-    #[allow(clippy::too_many_arguments)]
     pub(super) fn new(
         code: Vec<u8>,
-        listing: String,
         main_off: usize,
         par_fns: Vec<(usize, u32)>,
         deopts: Vec<Deopt>,
@@ -389,17 +385,10 @@ impl JitProgram {
             main_off,
             par_fns,
             deopts,
-            listing,
             n_vars,
             n_iregs,
             n_fregs,
         })
-    }
-
-    /// The per-instruction textual listing of the generated code (also the
-    /// golden-test disassembly format).
-    pub fn listing(&self) -> &str {
-        &self.listing
     }
 
     /// Bytes of generated machine code.

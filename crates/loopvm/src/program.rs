@@ -1,7 +1,10 @@
 //! Program structure: buffers, statements, loop annotations.
 
+use crate::bytecode::BcProgram;
 use crate::expr::{Expr, Var};
+use crate::jit::JitProgram;
 use std::hash::{Hash, Hasher};
+use std::sync::{Arc, OnceLock};
 
 /// Identifier of a flat `f32` buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -107,9 +110,15 @@ impl Stmt {
 /// NaN, which never compares equal). Every construction path
 /// ([`Program::push`], [`Program::set_body`], the declaration builders)
 /// also folds the added structure into a 64-bit [`Program::fingerprint`],
-/// so [`crate::Machine`] can key its compiled-bytecode cache with one
-/// integer comparison instead of an O(program) structural walk.
-#[derive(Debug, Clone, Default)]
+/// so caches (the compile service's tiers, artifact keys) can compare
+/// programs with one integer comparison instead of an O(program)
+/// structural walk.
+///
+/// The program also owns the code compiled from it ([`Program::compiled`]):
+/// derived state like the fingerprint, shared by every clone, reset by
+/// every `&mut` builder, and ignored by `PartialEq`, `Debug`, the
+/// fingerprint and the codec.
+#[derive(Clone, Default)]
 pub struct Program {
     pub(crate) buffers: Vec<(String, usize)>,
     pub(crate) vars: Vec<String>,
@@ -126,6 +135,55 @@ pub struct Program {
     fp_vars: u64,
     /// Running hash of the statement list.
     fp_body: u64,
+    /// Code compiled (or decoded) from exactly this structure; emptied by
+    /// every builder so it can never describe a different program.
+    code: OnceLock<Arc<Compiled>>,
+}
+
+impl std::fmt::Debug for Program {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Program")
+            .field("buffers", &self.buffers)
+            .field("vars", &self.vars)
+            .field("body", &self.body)
+            .field("fp_bufs", &self.fp_bufs)
+            .field("fp_vars", &self.fp_vars)
+            .field("fp_body", &self.fp_body)
+            .finish()
+    }
+}
+
+/// The code compiled from one [`Program`]: its optimized bytecode and,
+/// compiled on first request, native code. It lives exactly as long as
+/// the last clone of that program, and native code is freed with it.
+pub struct Compiled {
+    bc: BcProgram,
+    native: OnceLock<Option<JitProgram>>,
+}
+
+impl Compiled {
+    /// The optimized register bytecode.
+    pub fn bytecode(&self) -> &BcProgram {
+        &self.bc
+    }
+
+    /// Native code for the bytecode, JIT-compiled on the first call;
+    /// `None` where the JIT tier is unavailable or declines the program
+    /// (the attempt is made once). The compile is counted in the
+    /// `vm.jit.compiles` / `vm.jit.fallbacks` metrics and timed in
+    /// `vm.jit.compile_us`.
+    pub fn native(&self) -> Option<&JitProgram> {
+        self.native
+            .get_or_init(|| {
+                let m = crate::vm::vm_metrics();
+                let t0 = std::time::Instant::now();
+                let j = crate::jit::compile(&self.bc);
+                if j.is_some() { m.jit_compiles.inc() } else { m.jit_fallbacks.inc() }
+                m.jit_compile_us.record_duration(t0.elapsed());
+                j
+            })
+            .as_ref()
+    }
 }
 
 impl PartialEq for Program {
@@ -236,6 +294,7 @@ impl Program {
 
     /// Declares a buffer of `size` `f32` elements.
     pub fn buffer(&mut self, name: &str, size: usize) -> BufId {
+        self.code = OnceLock::new();
         self.buffers.push((name.to_string(), size));
         self.fp_bufs = fp_mix(
             self.fp_bufs,
@@ -250,6 +309,7 @@ impl Program {
 
     /// Declares a scalar variable slot.
     pub fn var(&mut self, name: &str) -> Var {
+        self.code = OnceLock::new();
         self.vars.push(name.to_string());
         self.fp_vars = fp_mix(
             self.fp_vars,
@@ -263,6 +323,7 @@ impl Program {
 
     /// Appends a top-level statement.
     pub fn push(&mut self, s: Stmt) {
+        self.code = OnceLock::new();
         self.fp_body = fp_mix(self.fp_body, fp_item(|h| hash_stmt(&s, h)));
         self.body.push(s);
     }
@@ -275,6 +336,7 @@ impl Program {
     /// Replaces the whole statement list (lowering pipelines build bodies
     /// out-of-line). The fingerprint is recomputed from the new body.
     pub fn set_body(&mut self, body: Vec<Stmt>) {
+        self.code = OnceLock::new();
         self.fp_body = 0;
         for s in &body {
             self.fp_body = fp_mix(self.fp_body, fp_item(|h| hash_stmt(s, h)));
@@ -285,11 +347,36 @@ impl Program {
     /// A 64-bit structural fingerprint of the program (declarations and
     /// statements, `f32` constants by bit pattern), maintained
     /// incrementally by the builders. Two structurally equal programs
-    /// always have equal fingerprints; [`crate::Machine::run`] keys its
-    /// compiled-bytecode cache on this value, making the repeated-run
-    /// cache hit O(1) instead of an O(program) equality walk.
+    /// always have equal fingerprints.
     pub fn fingerprint(&self) -> u64 {
         fp_mix(fp_mix(fp_mix(0x7472_616d_6973_7531, self.fp_bufs), self.fp_vars), self.fp_body)
+    }
+
+    /// The program's compiled code, optimizing it to bytecode now if no
+    /// code is attached yet (see [`crate::opt::compile_program`]). Later
+    /// calls return the same code, as do clones made from now on.
+    ///
+    /// # Errors
+    ///
+    /// The bytecode compiler's errors.
+    pub fn compiled(&self) -> crate::Result<&Compiled> {
+        if let Some(c) = self.code.get() {
+            return Ok(c);
+        }
+        let c = Compiled { bc: crate::opt::compile_program(self)?, native: OnceLock::new() };
+        Ok(self.code.get_or_init(|| Arc::new(c)))
+    }
+
+    /// The attached bytecode, if the program has been compiled or its
+    /// code decoded; never compiles.
+    pub fn bytecode(&self) -> Option<&BcProgram> {
+        self.code.get().map(|c| &c.bc)
+    }
+
+    /// Attaches bytecode decoded and validated against this program
+    /// ([`crate::codec::decode_bc_into`]). Keeps code already attached.
+    pub(crate) fn attach(&self, bc: BcProgram) {
+        let _ = self.code.set(Arc::new(Compiled { bc, native: OnceLock::new() }));
     }
 
     /// Number of declared buffers.

@@ -59,12 +59,11 @@
 //!   uniform — turning the classic hang-at-runtime bugs into
 //!   [`DistError::CommMismatch`] diagnostics.
 
-use bytes::{Bytes, BytesMut};
 use loopvm::{eval_scalar, BcProgram, BufId, Expr, Machine, Program, RunStats, ScalarThunk, Stmt, Var};
-use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -337,9 +336,9 @@ struct Message {
     seq: u64,
     /// FNV-1a of the (uncorrupted) payload.
     checksum: u32,
-    payload: Bytes,
+    payload: Arc<[u8]>,
     /// Present for synchronous sends: the sender blocks until signalled.
-    ack: Option<crossbeam::channel::Sender<()>>,
+    ack: Option<mpsc::SyncSender<()>>,
 }
 
 /// Why a blocking wait gave up.
@@ -358,7 +357,7 @@ enum Screen {
 }
 
 struct Inbox {
-    rx: crossbeam::channel::Receiver<Message>,
+    rx: mpsc::Receiver<Message>,
     /// Out-of-order messages waiting for a matching `Recv`.
     stash: VecDeque<Message>,
     /// Next expected sequence number per source rank.
@@ -443,12 +442,12 @@ impl Inbox {
                         Screen::Redelivery => counters.redeliveries += 1,
                     }
                 }
-                Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
+                Err(RecvTimeoutError::Timeout) => {
                     if error_flag.load(Ordering::Relaxed) != 0 {
                         return Err(WaitFail::Cancelled);
                     }
                 }
-                Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
+                Err(RecvTimeoutError::Disconnected) => {
                     return Err(WaitFail::Cancelled);
                 }
             }
@@ -458,7 +457,7 @@ impl Inbox {
 
 /// Waits for a rendezvous ack with watchdog and cancellation checks.
 fn wait_ack(
-    rx: &crossbeam::channel::Receiver<()>,
+    rx: &mpsc::Receiver<()>,
     deadline: Instant,
     poll: Duration,
     error_flag: &AtomicU64,
@@ -470,12 +469,12 @@ fn wait_ack(
         }
         match rx.recv_timeout(remaining.min(poll)) {
             Ok(()) => return Ok(()),
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
+            Err(RecvTimeoutError::Timeout) => {
                 if error_flag.load(Ordering::Relaxed) != 0 {
                     return Err(WaitFail::Cancelled);
                 }
             }
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
+            Err(RecvTimeoutError::Disconnected) => {
                 return Err(WaitFail::Cancelled);
             }
         }
@@ -543,16 +542,11 @@ pub fn run_with_opts(
     let mut senders = Vec::with_capacity(n_ranks);
     let mut inboxes = Vec::with_capacity(n_ranks);
     for _ in 0..n_ranks {
-        let (tx, rx) = crossbeam::channel::unbounded::<Message>();
+        let (tx, rx) = mpsc::channel::<Message>();
         senders.push(tx);
-        inboxes.push(Mutex::new(Inbox {
-            rx,
-            stash: VecDeque::new(),
-            expected: HashMap::new(),
-        }));
+        inboxes.push(Inbox { rx, stash: VecDeque::new(), expected: HashMap::new() });
     }
     let senders = Arc::new(senders);
-    let inboxes = Arc::new(inboxes);
     let barrier = Arc::new(PoisonBarrier::new(n_ranks));
     let error_flag = Arc::new(AtomicU64::new(0));
     // Shared compile memo: chunk bytecode and comm-expression thunks are
@@ -562,17 +556,18 @@ pub fn run_with_opts(
 
     let _sp = telemetry::span("dist", "cluster run");
     let start = Instant::now();
-    let results: Vec<Result<RankOutcome, DistError>> = crossbeam::thread::scope(|scope| {
+    let results: Vec<Result<RankOutcome, DistError>> = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(n_ranks);
-        for rank in 0..n_ranks {
+        // Each rank borrows its own inbox; every receiver outlives the
+        // scope, so a send to a finished rank still waits for its ack.
+        for (rank, inbox) in inboxes.iter_mut().enumerate() {
             let senders = Arc::clone(&senders);
-            let inboxes = Arc::clone(&inboxes);
             let barrier = Arc::clone(&barrier);
             let error_flag = Arc::clone(&error_flag);
-            handles.push(scope.spawn(move |_| {
+            handles.push(scope.spawn(move || {
                 let result = catch_unwind(AssertUnwindSafe(|| {
                     run_rank(
-                        dist, rank, n_ranks, comm, opts, bc_cache, &senders, &inboxes,
+                        dist, rank, n_ranks, comm, opts, bc_cache, &senders, inbox,
                         &barrier, &error_flag, init, finish,
                     )
                 }))
@@ -598,8 +593,7 @@ pub fn run_with_opts(
                 })
             })
             .collect()
-    })
-    .expect("thread scope failed");
+    });
     let wall = start.elapsed();
 
     let mut failures = Vec::new();
@@ -755,8 +749,8 @@ fn run_rank(
     comm: &CommModel,
     opts: &RunOptions,
     cache: &BcCache,
-    senders: &[crossbeam::channel::Sender<Message>],
-    inboxes: &[Mutex<Inbox>],
+    senders: &[mpsc::Sender<Message>],
+    inbox: &mut Inbox,
     barrier: &PoisonBarrier,
     error_flag: &AtomicU64,
     init: &(impl Fn(usize, &mut Machine) + Sync),
@@ -831,7 +825,7 @@ fn run_rank(
                 };
             }
         }
-        eval_scalar(&dist.program, e, &bindings)
+        eval_scalar(e, &bindings)
     };
 
     // Iterative interpretation via an explicit work list of (slice, pos).
@@ -894,11 +888,8 @@ fn run_rank(
                 let data = machine.buffer(*buf);
                 let lo = off.max(0) as usize;
                 let hi = ((off + cnt).max(0) as usize).min(data.len());
-                let mut payload = BytesMut::with_capacity((hi - lo) * 4);
-                for &v in &data[lo..hi] {
-                    payload.extend_from_slice(&v.to_le_bytes());
-                }
-                let payload = payload.freeze();
+                let payload: Arc<[u8]> =
+                    data[lo..hi].iter().flat_map(|v| v.to_le_bytes()).collect();
                 if prof {
                     telemetry::counter("dist", "send bytes", payload.len() as f64);
                 }
@@ -919,8 +910,7 @@ fn run_rank(
                 let off = scalar(offset).map_err(vm)?;
                 let cnt = scalar(count).map_err(vm)?;
                 let deadline = Instant::now() + opts.watchdog;
-                let msg = inboxes[rank]
-                    .lock()
+                let msg = inbox
                     .recv_from(s as usize, deadline, opts.poll, error_flag, comm, &mut counters)
                     .map_err(|w| match w {
                         WaitFail::Timeout => DistError::Deadlock {
@@ -958,11 +948,11 @@ fn transmit(
     rank: usize,
     dest: usize,
     seq: u64,
-    payload: &Bytes,
+    payload: &Arc<[u8]>,
     asynchronous: bool,
     comm: &CommModel,
     opts: &RunOptions,
-    senders: &[crossbeam::channel::Sender<Message>],
+    senders: &[mpsc::Sender<Message>],
     error_flag: &AtomicU64,
     counters: &mut RankCounters,
     step: u64,
@@ -992,8 +982,7 @@ fn transmit(
                 // payload byte) so the receiver's verification genuinely
                 // runs; it will discard and we retransmit.
                 telemetry::instant("fault", "corrupt");
-                let mut bad = BytesMut::with_capacity(nbytes);
-                bad.extend_from_slice(payload);
+                let mut bad = payload.to_vec();
                 if !bad.is_empty() {
                     let idx = (seq as usize).wrapping_add(attempt as usize) % bad.len();
                     bad[idx] ^= 0x2A;
@@ -1002,7 +991,7 @@ fn transmit(
                     src: rank,
                     seq,
                     checksum: good_sum,
-                    payload: bad.freeze(),
+                    payload: bad.into(),
                     ack: None,
                 });
                 true
@@ -1017,14 +1006,14 @@ fn transmit(
                 let (ack_tx, ack_rx) = if asynchronous {
                     (None, None)
                 } else {
-                    let (t, r) = crossbeam::channel::bounded::<()>(1);
+                    let (t, r) = mpsc::sync_channel::<()>(1);
                     (Some(t), Some(r))
                 };
                 let _ = senders[dest].send(Message {
                     src: rank,
                     seq,
                     checksum: good_sum,
-                    payload: payload.clone(),
+                    payload: Arc::clone(payload),
                     ack: ack_tx,
                 });
                 if fault == Fault::Duplicate {
@@ -1037,7 +1026,7 @@ fn transmit(
                         src: rank,
                         seq,
                         checksum: good_sum,
-                        payload: payload.clone(),
+                        payload: Arc::clone(payload),
                         ack: None,
                     });
                 }
@@ -1122,7 +1111,7 @@ mod tests {
         // Same program, both executors, gathered outputs bit-compared.
         let gather = |tree_walk: bool| -> Vec<u32> {
             let prog = ring_program(4);
-            let out = Mutex::new(vec![vec![]; 4]);
+            let out = std::sync::Mutex::new(vec![vec![]; 4]);
             run_with_opts(
                 &prog,
                 4,
@@ -1135,11 +1124,11 @@ mod tests {
                 },
                 |rank, machine: &Machine| {
                     let data = machine.buffer(prog.program.nth_buffer(0));
-                    out.lock()[rank] = data.iter().map(|v| v.to_bits()).collect();
+                    out.lock().unwrap()[rank] = data.iter().map(|v| v.to_bits()).collect();
                 },
             )
             .unwrap();
-            let guard = out.lock();
+            let guard = out.lock().unwrap();
             guard.iter().flatten().copied().collect()
         };
         assert_eq!(gather(false), gather(true));
@@ -1550,7 +1539,7 @@ mod tests {
         let prog = ring_program(6);
         let data = prog.program.buffer_by_name("data").unwrap();
         let capture = |opts: &RunOptions| -> (DistStats, Vec<Vec<f32>>) {
-            let out = Mutex::new(vec![Vec::new(); 4]);
+            let out = std::sync::Mutex::new(vec![Vec::new(); 4]);
             let stats = run_with_opts(
                 &prog,
                 4,
@@ -1558,11 +1547,11 @@ mod tests {
                 opts,
                 |_, _| {},
                 |rank, machine| {
-                    out.lock()[rank] = machine.buffer(data).to_vec();
+                    out.lock().unwrap()[rank] = machine.buffer(data).to_vec();
                 },
             )
             .unwrap();
-            (stats, out.into_inner())
+            (stats, out.into_inner().unwrap())
         };
         let (clean_stats, clean) = capture(&RunOptions::default());
         let opts = RunOptions {

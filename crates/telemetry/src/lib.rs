@@ -7,13 +7,15 @@
 //!
 //! # Design
 //!
-//! The recorder is **thread-aware and lock-free on the record path**:
-//! every thread appends events to a thread-local buffer (no
-//! synchronization per event). A global mutex is touched only when a
-//! thread retires (its buffer is moved to a retirement list) and when the
-//! timeline is [`drain`]ed — both cold operations. Worker threads spawned
-//! by parallel loops and distributed ranks therefore record at
-//! `Vec::push` cost.
+//! The recorder is **thread-aware and uncontended on the record path**:
+//! every thread appends events to its own buffer behind its own mutex,
+//! which only [`drain`] ever contends for. Each buffer is registered in a
+//! global list when its thread first records, so a drain reaches every
+//! thread's events, whether the thread is still running, finished, or
+//! (as after `std::thread::scope`) joined with its thread-local
+//! destructors still pending. Worker threads spawned by parallel loops
+//! and distributed ranks therefore record at `Vec::push` cost plus one
+//! uncontended lock.
 //!
 //! # Overhead guarantee
 //!
@@ -61,7 +63,7 @@ pub mod flight;
 pub mod metrics;
 
 use std::borrow::Cow;
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI8, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -148,30 +150,26 @@ fn thread_tid() -> u64 {
     })
 }
 
-static RETIRED: Mutex<Vec<Event>> = Mutex::new(Vec::new());
-
-fn retired() -> std::sync::MutexGuard<'static, Vec<Event>> {
-    RETIRED.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
 struct LocalBuf {
     tid: u64,
     events: Vec<Event>,
 }
 
-impl Drop for LocalBuf {
-    fn drop(&mut self) {
-        if !self.events.is_empty() {
-            retired().append(&mut self.events);
-        }
-    }
+type SharedBuf = std::sync::Arc<Mutex<LocalBuf>>;
+
+/// Every thread's timeline buffer, registered on the thread's first event.
+static BUFFERS: Mutex<Vec<SharedBuf>> = Mutex::new(Vec::new());
+
+fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 thread_local! {
-    static LOCAL: RefCell<LocalBuf> = RefCell::new(LocalBuf {
-        tid: thread_tid(),
-        events: Vec::new(),
-    });
+    static LOCAL: SharedBuf = {
+        let buf = std::sync::Arc::new(Mutex::new(LocalBuf { tid: thread_tid(), events: Vec::new() }));
+        lock(&BUFFERS).push(std::sync::Arc::clone(&buf));
+        buf
+    };
 }
 
 /// Session epoch: all timestamps are microseconds since the first
@@ -189,7 +187,7 @@ fn now_us() -> u64 {
 fn push(cat: &'static str, name: Cow<'static, str>, ts_us: u64, kind: EventKind) {
     MATERIALIZED.fetch_add(1, Ordering::Relaxed);
     LOCAL.with(|l| {
-        let mut l = l.borrow_mut();
+        let mut l = lock(l);
         let tid = l.tid;
         l.events.push(Event { cat, name, ts_us, tid, kind });
     });
@@ -331,15 +329,20 @@ pub fn set_thread_name(name: impl Into<Cow<'static, str>>) {
     emit("meta", name.into(), now_us(), EventKind::ThreadName, profile, fl);
 }
 
-/// Collects every event recorded so far — the retirement list plus the
-/// calling thread's buffer — into a [`Timeline`], clearing them. Events
-/// of worker threads that are still alive stay in their local buffers;
-/// in this workspace every executor joins its workers before returning,
-/// so draining after a run observes the complete timeline.
+/// Collects every event recorded so far, on every thread, into a
+/// [`Timeline`], clearing them. Buffers of threads that have exited are
+/// unregistered once drained.
 #[must_use]
 pub fn drain() -> Timeline {
-    let mut events = std::mem::take(&mut *retired());
-    LOCAL.with(|l| events.append(&mut l.borrow_mut().events));
+    let mut events = Vec::new();
+    let mut bufs = lock(&BUFFERS);
+    for b in bufs.iter() {
+        events.append(&mut lock(b).events);
+    }
+    // Only the registry holds the buffer of a thread whose thread-local
+    // storage has been destroyed.
+    bufs.retain(|b| std::sync::Arc::strong_count(b) > 1);
+    drop(bufs);
     events.sort_by_key(|e| (e.ts_us, e.tid));
     Timeline { events }
 }
@@ -513,8 +516,8 @@ pub fn export_if_enabled(default_path: &str) -> Option<std::path::PathBuf> {
     }
 }
 
-/// JSON string literal with escaping (the workspace hand-rolls JSON; the
-/// vendored serde is a stub).
+/// JSON string literal with escaping (the workspace hand-rolls JSON; it
+/// has no serde).
 pub(crate) fn jstr(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');

@@ -8,9 +8,15 @@ use tiramisu::{
     Function, GpuOptions,
 };
 
-/// Tests that read or advance the global `snapshot_renders` counter (or
-/// the `TIRAMISU_TRACE` environment variable) serialize on this.
+/// Every test here either reads the global `snapshot_renders` counter,
+/// advances it (any `trace: true` compile renders snapshots), or touches
+/// the `TIRAMISU_TRACE`/`TIRAMISU_DISASM` environment variables, so all of
+/// them serialize on this.
 static TRACE_COUNTER: Mutex<()> = Mutex::new(());
+
+fn locked() -> std::sync::MutexGuard<'static, ()> {
+    TRACE_COUNTER.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 /// Two-stage 2-D blur (bx then by consuming bx): has flow dependences,
 /// fused nests, and loop tags — every pass has real work to report.
@@ -71,6 +77,7 @@ const PASSES: [&str; 6] = ["lower", "legality", "astgen", "tag-resolve", "emit",
 
 #[test]
 fn trace_records_passes_in_pipeline_order() {
+    let _guard = locked();
     let f = blur2();
     let module = compile_cpu(
         &f,
@@ -86,6 +93,7 @@ fn trace_records_passes_in_pipeline_order() {
 
 #[test]
 fn every_pass_reports_nonzero_counts_on_nontrivial_kernel() {
+    let _guard = locked();
     let f = blur2();
     let module = compile_cpu(
         &f,
@@ -109,6 +117,7 @@ fn every_pass_reports_nonzero_counts_on_nontrivial_kernel() {
 
 #[test]
 fn gemm_trace_reports_six_timed_passes() {
+    let _guard = locked();
     let f = gemm();
     let module = compile_cpu(
         &f,
@@ -134,6 +143,7 @@ fn gemm_trace_reports_six_timed_passes() {
 
 #[test]
 fn gpu_and_dist_modules_carry_traces_too() {
+    let _guard = locked();
     let mut f = Function::new("scale", &["N"]);
     let i = f.var("i", 0, E::param("N"));
     let j = f.var("j", 0, E::param("N"));
@@ -173,6 +183,7 @@ fn gpu_and_dist_modules_carry_traces_too() {
 
 #[test]
 fn optimize_pass_runs_last_and_reports_instruction_counts() {
+    let _guard = locked();
     let f = blur2();
     let module = compile_cpu(
         &f,
@@ -200,7 +211,7 @@ fn optimize_pass_runs_last_and_reports_instruction_counts() {
 
 #[test]
 fn disassembly_is_off_by_default_and_env_gated() {
-    let _guard = TRACE_COUNTER.lock().unwrap();
+    let _guard = locked();
     std::env::remove_var("TIRAMISU_DISASM");
     let f = blur2();
     let opts = || CpuOptions { trace: true, ..Default::default() };
@@ -219,7 +230,7 @@ fn disassembly_is_off_by_default_and_env_gated() {
 
 #[test]
 fn disabled_tracing_materializes_nothing() {
-    let _guard = TRACE_COUNTER.lock().unwrap();
+    let _guard = locked();
     std::env::remove_var("TIRAMISU_TRACE");
     let before = snapshot_renders();
     for _ in 0..3 {
@@ -236,7 +247,7 @@ fn disabled_tracing_materializes_nothing() {
 
 #[test]
 fn env_var_enables_tracing_globally() {
-    let _guard = TRACE_COUNTER.lock().unwrap();
+    let _guard = locked();
     std::env::set_var("TIRAMISU_TRACE", "1");
     let f = blur2();
     let module = compile_cpu(&f, &[("N", 8)], CpuOptions::default()).unwrap();

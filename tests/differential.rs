@@ -297,6 +297,11 @@ proptest! {
             "second request did not decode from disk: {:?}", &alg
         );
         prop_assert_eq!(&cached.program, &module.program, "decoded program differs: {:?}", &alg);
+        // The decoded program carries the artifact's bytecode, so both
+        // lanes execute decoded code rather than re-optimizing.
+        prop_assert!(cached.bytecode().is_some(), "disk hit attached no bytecode: {:?}", &alg);
+        let cached_bc = run_cpu(&cached, loopvm::ExecMode::Bytecode);
+        prop_assert_eq!(&fast, &cached_bc, "cached bytecode vs fresh execution: {:?}", &alg);
         let cached_run = run_cpu(&cached, loopvm::ExecMode::Jit);
         prop_assert_eq!(&fast, &cached_run, "cached vs fresh execution: {:?}", &alg);
 

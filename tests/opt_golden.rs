@@ -131,8 +131,10 @@ fn gemm_jit_x86_64_listing_is_pinned() {
         CpuOptions { check_legality: false, ..Default::default() },
     )
     .unwrap();
-    let jit = module.jit().expect("gemm must be JIT-compilable on x86-64");
-    assert_golden("gemm_jit_x86_64", jit.listing());
+    let code = module.program.compiled().expect("the optimize pass attached bytecode");
+    let jit = code.native().expect("gemm must be JIT-compilable on x86-64");
+    let listing = loopvm::jit::listing(code.bytecode()).expect("the listing of that code");
+    assert_golden("gemm_jit_x86_64", &listing);
     // Sanity on the shape: one main function, real code, and deopt stubs
     // for every trapping load/store in the inner loop.
     assert!(jit.code_len() > 0, "empty code buffer");

@@ -140,34 +140,55 @@ fn profiling_off_materializes_nothing_and_costs_under_two_percent() {
         "profiling-off run materialized telemetry records"
     );
 
-    // Overhead bound: two interleaved batches of identical off-path runs
-    // must agree on their minimum wall time within 2% — the off path is
-    // a single relaxed atomic check, not a measurable cost. Min-of-batch
-    // discards scheduler noise.
-    let batch = 6;
-    let mut min_a = Duration::MAX;
-    let mut min_b = Duration::MAX;
-    prep.run_wall().expect("warmup");
-    for _ in 0..batch {
-        let t = Instant::now();
-        prep.run_wall().expect("batch a");
-        min_a = min_a.min(t.elapsed());
-        let t = Instant::now();
-        prep.run_wall().expect("batch b");
-        min_b = min_b.min(t.elapsed());
+    // Overhead bound: the default off path (flight recorder on) against
+    // the path with the recorder off too, where every entry point returns
+    // after two relaxed checks. Rounds interleave two default arms (A, A')
+    // and the recorder-off arm (B) in rotating order, so drift hits all
+    // three alike. The estimate is the median of the per-round log ratios
+    // A/B; the noise floor is the median |log A/A'| of the same rounds,
+    // i.e. this host's spread for two identical arms right now.
+    let sample = |flight: bool| {
+        telemetry::flight::set_flight(Some(flight));
+        let best = (0..3)
+            .map(|_| {
+                let t = Instant::now();
+                prep.run_wall().expect("sgemm run");
+                t.elapsed()
+            })
+            .min()
+            .expect("three runs");
+        best.as_secs_f64()
+    };
+    sample(true);
+    let rounds = 21;
+    let mut overhead = Vec::with_capacity(rounds);
+    let mut noise = Vec::with_capacity(rounds);
+    for r in 0..rounds {
+        let mut t = [0.0f64; 3];
+        for k in 0..3 {
+            let arm = (r + k) % 3;
+            t[arm] = sample(arm != 2);
+        }
+        overhead.push((t[0] / t[2]).ln());
+        noise.push((t[0] / t[1]).ln().abs());
     }
+    telemetry::flight::set_flight(None);
     set_profiling(None);
-    let (lo, hi) = if min_a < min_b { (min_a, min_b) } else { (min_b, min_a) };
-    let delta = (hi - lo).as_secs_f64() / lo.as_secs_f64();
+    let median = |v: &mut Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    let (overhead, floor) = (median(&mut overhead), median(&mut noise));
     assert!(
-        delta < 0.02,
-        "off-path wall times diverge by {:.2}% (min_a {min_a:?}, min_b {min_b:?})",
-        delta * 100.0
+        overhead < 0.02 + floor,
+        "off-path overhead {:.2}% exceeds 2% plus the A/A noise floor {:.2}%",
+        overhead * 100.0,
+        floor * 100.0
     );
 }
 
 // ---------------------------------------------------------------------------
-// Minimal JSON validator (the vendored serde is a stub, so the shape
+// Minimal JSON validator (the workspace has no serde, so the shape
 // check parses by hand).
 // ---------------------------------------------------------------------------
 
