@@ -134,7 +134,7 @@ pub mod strategy {
         }
     }
 
-    /// Uniform choice between type-erased strategies ([`prop_oneof!`]).
+    /// Uniform choice between type-erased strategies ([`prop_oneof!`](crate::prop_oneof)).
     pub struct OneOf<T>(pub Vec<BoxedStrategy<T>>);
 
     impl<T> Clone for OneOf<T> {

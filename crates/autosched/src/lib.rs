@@ -4,7 +4,7 @@
 //! Pluto / PENCIL / Polly stand-in of the Tiramisu reproduction.
 //!
 //! The paper (§II-a) characterizes the Pluto algorithm — used by Pluto,
-//! PENCIL and Polly — as "minimiz[ing] the distance between producer and
+//! PENCIL and Polly — as "minimiz\[ing\] the distance between producer and
 //! consumer statements while maximizing outermost parallelism", and notes
 //! the pathologies that follow: it does not weigh data layout or the cost
 //! of complicated control flow, and its backends skip key optimizations

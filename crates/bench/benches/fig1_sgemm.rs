@@ -65,10 +65,8 @@ fn bench(c: &mut Criterion) {
     }
     g.finish();
 
-    // Executor ablation on the tiled GPU sgemm: the warp-bytecode path
-    // (default `GpuModule::run`, phase bytecode compiled once by the
-    // pipeline) vs the tree-walk SIMT reference (numbers recorded in
-    // EXPERIMENTS.md).
+    // The tiled GPU sgemm on the warp-bytecode path (`GpuModule::run`,
+    // phase bytecode compiled once by the pipeline).
     let mut g = c.benchmark_group("fig1_sgemm_gpu_execmode");
     g.sample_size(10);
     g.warm_up_time(std::time::Duration::from_millis(300));
@@ -77,13 +75,6 @@ fn bench(c: &mut Criterion) {
     let mut bufs = module.alloc_buffers();
     g.bench_function("bytecode", |b| {
         b.iter(|| module.run(&mut bufs, &gpusim::GpuModel::default()).unwrap());
-    });
-    g.bench_function("tree-walk", |b| {
-        b.iter(|| {
-            for k in &module.kernels {
-                gpusim::launch_tree_walk(k, &mut bufs, &gpusim::GpuModel::default()).unwrap();
-            }
-        });
     });
     g.finish();
 }

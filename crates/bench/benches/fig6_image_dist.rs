@@ -73,49 +73,24 @@ fn bench(c: &mut Criterion) {
     }
     g.finish();
 
-    // Executor ablation on the distributed conv2D: memoized rank-chunk
-    // bytecode (default) vs every rank forced onto the tree-walk
-    // evaluator via the init hook (numbers recorded in EXPERIMENTS.md).
+    // Memoized rank-chunk bytecode on the distributed conv2D and the
+    // Fig. 3(c) blur.
     let mut g = c.benchmark_group("fig6_dist_execmode");
     g.sample_size(10);
     g.warm_up_time(std::time::Duration::from_millis(300));
     g.measurement_time(std::time::Duration::from_millis(800));
     let t = kernels::image_dist::tiramisu_dist("conv2D", s, ranks).unwrap();
-    let run = |tree_walk: bool| {
-        mpisim::run_with_opts(
-            &t.module.dist,
-            t.ranks,
-            &mpisim::CommModel::default(),
-            &mpisim::RunOptions::default(),
-            |_rank, machine| {
-                if tree_walk {
-                    machine.set_exec_mode(loopvm::ExecMode::TreeWalk);
-                }
-            },
-            |_rank, _machine| {},
-        )
-        .unwrap()
-    };
-    g.bench_function("conv2D/bytecode", |b| b.iter(|| run(false)));
-    g.bench_function("conv2D/tree-walk", |b| b.iter(|| run(true)));
+    g.bench_function("conv2D/bytecode", |b| {
+        b.iter(|| {
+            mpisim::run(&t.module.dist, t.ranks, &mpisim::CommModel::default(), false).unwrap()
+        })
+    });
     let blur = fig3c_blur(64, 48, ranks);
-    let run_blur = |tree_walk: bool| {
-        mpisim::run_with_opts(
-            &blur.dist,
-            ranks as usize,
-            &mpisim::CommModel::default(),
-            &mpisim::RunOptions::default(),
-            |_rank, machine| {
-                if tree_walk {
-                    machine.set_exec_mode(loopvm::ExecMode::TreeWalk);
-                }
-            },
-            |_rank, _machine| {},
-        )
-        .unwrap()
-    };
-    g.bench_function("blur (Fig 3c)/bytecode", |b| b.iter(|| run_blur(false)));
-    g.bench_function("blur (Fig 3c)/tree-walk", |b| b.iter(|| run_blur(true)));
+    g.bench_function("blur (Fig 3c)/bytecode", |b| {
+        b.iter(|| {
+            mpisim::run(&blur.dist, ranks as usize, &mpisim::CommModel::default(), false).unwrap()
+        })
+    });
     g.finish();
 }
 

@@ -11,8 +11,8 @@
 //!    re-measured as a min-of-N and compared against the committed value
 //!    scaled by a per-metric tolerance factor. Wall time is
 //!    host-dependent, so tolerances are generous; the gate catches
-//!    order-of-magnitude cliffs (an accidental O(n²), a tier silently
-//!    falling back to tree-walk), not percent-level noise.
+//!    order-of-magnitude cliffs (an accidental O(n²), the native tier
+//!    silently falling back to the interpreter), not percent-level noise.
 //!
 //! `TIRAMISU_PERF_GATE=0` skips layer 2 (for hosts too noisy even for
 //! generous tolerances); layer 1 always runs.

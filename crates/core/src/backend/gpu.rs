@@ -145,7 +145,7 @@ impl GpuModule {
         }
         for (i, k) in self.kernels.iter().enumerate() {
             // Prefer the phase bytecode compiled once by the optimize
-            // pass; `launch_precompiled` still honors GPUSIM_TREEWALK.
+            // pass.
             let stats = match self.kernel_bytecode.as_ref().and_then(|ks| ks.get(i)) {
                 Some(phases) => gpusim::launch_precompiled(k, buffers, model, phases),
                 None => gpusim::launch(k, buffers, model),

@@ -1,17 +1,15 @@
 //! The SIMT executor: lockstep warp execution with masks, a memory model
 //! and a per-SM scheduler.
 //!
-//! Two execution paths share the block/warp scheduler and the memory
-//! model: the default compiles each barrier-delimited kernel phase once
-//! to optimized register bytecode (`loopvm::opt`) and executes it with
-//! the warp-level masked executor ([`loopvm::simt`]), so per-warp work is
-//! O(instructions); the original tree-walk path (O(tree nodes) per warp)
-//! remains as the differential reference, selectable process-wide with
-//! `GPUSIM_TREEWALK=1` or explicitly via [`launch_tree_walk`].
+//! Each barrier-delimited kernel phase is compiled once to optimized
+//! register bytecode (`loopvm::opt`) and executed by the warp-level
+//! masked interpreter ([`loopvm::simt`]); this module supplies the block
+//! and warp scheduling and prices every instruction and memory access
+//! through [`WarpHost`]. Kernels are differentially tested against the
+//! CPU tree-walk oracle (`loopvm::Machine::run_tree_walk`).
 
 use crate::{GpuModel, Kernel, MemSpace};
-use loopvm::{compile, BcProgram, Code, Error, LoopKind, Op, Result, Stmt, WarpHost};
-use loopvm::vm::{apply_f, apply_i, apply_un_f, apply_un_i, cmp_f, cmp_i};
+use loopvm::{BcProgram, Error, Result, WarpHost};
 
 /// Warp width (lanes executing in lockstep).
 pub const WARP: usize = 32;
@@ -96,58 +94,8 @@ pub fn copy_cost(model: &GpuModel, bytes: usize) -> f64 {
     model.copy_latency + model.copy_per_byte * bytes as f64
 }
 
-#[derive(Debug, Clone)]
-enum GStmt {
-    For { var: u32, lower: Code, upper: Code, body: Vec<GStmt> },
-    If { cond: Code, then: Vec<GStmt>, else_: Vec<GStmt> },
-    Store { buf: u32, index: Code, value: Code },
-    Let { var: u32, value: Code },
-}
-
-fn compile_stmt(s: &Stmt) -> Result<GStmt> {
-    Ok(match s {
-        Stmt::For { var, lower, upper, kind, body } => {
-            // Loop kinds are irrelevant inside a kernel (each thread runs
-            // the body); they are accepted and executed serially per warp.
-            let _ = matches!(kind, LoopKind::Serial);
-            GStmt::For {
-                var: var.index() as u32,
-                lower: compile(lower)?,
-                upper: compile(upper)?,
-                body: body.iter().map(compile_stmt).collect::<Result<_>>()?,
-            }
-        }
-        Stmt::If { cond, then, else_ } => GStmt::If {
-            cond: compile(cond)?,
-            then: then.iter().map(compile_stmt).collect::<Result<_>>()?,
-            else_: else_.iter().map(compile_stmt).collect::<Result<_>>()?,
-        },
-        Stmt::Store { buf, index, value } => GStmt::Store {
-            buf: buf.index() as u32,
-            index: compile(index)?,
-            value: compile(value)?,
-        },
-        Stmt::Let { var, value } => {
-            GStmt::Let { var: var.index() as u32, value: compile(value)? }
-        }
-    })
-}
-
-struct WarpCtx<'a> {
-    model: &'a GpuModel,
-    spaces: &'a [MemSpace],
-    buffers: &'a mut [Vec<f32>],
-    buffer_names: Vec<String>,
-    vars: Vec<[i64; WARP]>,
-    vistack: Vec<[i64; WARP]>,
-    vfstack: Vec<[f32; WARP]>,
-    stats: LaunchStats,
-    cycles: f64,
-}
-
 /// Splits a kernel body of `len` statements into barrier-delimited phase
-/// ranges. Shared by the tree-walk and bytecode paths so both execute
-/// the exact same phase structure.
+/// ranges.
 fn phase_ranges(len: usize, barriers: &[usize]) -> Vec<std::ops::Range<usize>> {
     let mut ranges = Vec::new();
     let mut start = 0usize;
@@ -174,7 +122,7 @@ fn phase_ranges(len: usize, barriers: &[usize]) -> Vec<std::ops::Range<usize>> {
 /// register bytecode (one [`BcProgram`] per phase, against the kernel
 /// program's buffer/variable space). [`launch`] does this internally;
 /// this entry point lets a driver compile once and launch many times via
-/// [`launch_bytecode`].
+/// [`launch_precompiled`].
 ///
 /// # Errors
 ///
@@ -185,12 +133,6 @@ pub fn compile_phases(kernel: &Kernel) -> Result<Vec<BcProgram>> {
         .into_iter()
         .map(|r| loopvm::opt::compile_body(&kernel.program, &body[r]))
         .collect()
-}
-
-fn tree_walk_forced() -> bool {
-    // Consolidated executor-mode parsing; the warp executor has no native
-    // tier, so the only outcomes here are TreeWalk and Bytecode.
-    loopvm::ExecMode::from_env("GPUSIM_TREEWALK", false) == loopvm::ExecMode::TreeWalk
 }
 
 /// Seeds per-warp variable frames and active masks for one block.
@@ -240,10 +182,8 @@ fn buffer_names(kernel: &Kernel) -> Vec<String> {
 /// and constant buffers persist across blocks, shared buffers are cleared
 /// at each block start.
 ///
-/// By default each kernel phase is compiled once to optimized register
-/// bytecode and executed warp-level ([`compile_phases`] +
-/// [`launch_bytecode`]); setting `GPUSIM_TREEWALK=1` forces the original
-/// tree-walk reference executor ([`launch_tree_walk`]).
+/// Each kernel phase is compiled to optimized register bytecode first
+/// ([`compile_phases`]), then launched with [`launch_precompiled`].
 ///
 /// # Errors
 ///
@@ -253,38 +193,12 @@ pub fn launch(
     buffers: &mut [Vec<f32>],
     model: &GpuModel,
 ) -> Result<LaunchStats> {
-    if tree_walk_forced() {
-        launch_tree_walk(kernel, buffers, model)
-    } else {
-        let phases = compile_phases(kernel)?;
-        launch_bytecode(kernel, buffers, model, &phases)
-    }
-}
-
-/// Like [`launch`], but reuses phase bytecode compiled earlier with
-/// [`compile_phases`] (the driver pattern: compile once at module
-/// optimization, launch many times). Still honors `GPUSIM_TREEWALK=1`,
-/// falling back to the tree-walk reference and ignoring `phases`.
-///
-/// # Errors
-///
-/// Same as [`launch`].
-pub fn launch_precompiled(
-    kernel: &Kernel,
-    buffers: &mut [Vec<f32>],
-    model: &GpuModel,
-    phases: &[BcProgram],
-) -> Result<LaunchStats> {
-    if tree_walk_forced() {
-        launch_tree_walk(kernel, buffers, model)
-    } else {
-        launch_bytecode(kernel, buffers, model, phases)
-    }
+    let phases = compile_phases(kernel)?;
+    launch_precompiled(kernel, buffers, model, &phases)
 }
 
 /// Always-on launch metrics, accumulated across every launch in the
-/// process by both executors (the per-launch numbers stay on the
-/// returned [`LaunchStats`]).
+/// process (the per-launch numbers stay on the returned [`LaunchStats`]).
 fn record_launch_metrics(total: &LaunchStats) {
     struct GpuMetrics {
         launches: std::sync::Arc<telemetry::metrics::Counter>,
@@ -300,76 +214,6 @@ fn record_launch_metrics(total: &LaunchStats) {
     m.launches.inc();
     m.divergent_branches.add(total.divergent_branches);
     m.bank_conflicts.add(total.bank_conflict_degree);
-}
-
-/// Launches a kernel with the tree-walk reference executor regardless of
-/// the `GPUSIM_TREEWALK` setting (the differential baseline).
-///
-/// # Errors
-///
-/// Same as [`launch`].
-pub fn launch_tree_walk(
-    kernel: &Kernel,
-    buffers: &mut [Vec<f32>],
-    model: &GpuModel,
-) -> Result<LaunchStats> {
-    assert_eq!(buffers.len(), kernel.program.n_buffers(), "buffer count mismatch");
-    let body: Vec<GStmt> =
-        kernel.program.body().iter().map(compile_stmt).collect::<Result<_>>()?;
-    let buffer_names = buffer_names(kernel);
-
-    let threads = kernel.threads_per_block();
-    let mut sm_cycles = vec![0.0f64; model.sms.max(1)];
-    let mut total = LaunchStats::default();
-
-    // Split the body into phases at the block-level barriers.
-    let phases: Vec<&[GStmt]> = phase_ranges(body.len(), &kernel.barriers)
-        .into_iter()
-        .map(|r| &body[r])
-        .collect();
-
-    let n_warps = threads.div_ceil(WARP);
-    for block_id in 0..kernel.n_blocks() {
-        let bx = block_id as i64 % kernel.grid[0];
-        let by = block_id as i64 / kernel.grid[0];
-        // Shared memory is per-block: clear it.
-        for (b, space) in kernel.spaces.iter().enumerate() {
-            if *space == MemSpace::Shared || *space == MemSpace::Local {
-                buffers[b].iter_mut().for_each(|v| *v = 0.0);
-            }
-        }
-        let mut block_cycles = 0.0f64;
-        // Per-warp variable frames persist across phases (registers).
-        let (mut warp_vars, warp_masks) = seed_warps(kernel, threads, n_warps, bx, by);
-        // Barrier semantics: every warp finishes phase k before any warp
-        // starts phase k+1.
-        for phase in &phases {
-            for w in 0..n_warps {
-                let mut ctx = WarpCtx {
-                    model,
-                    spaces: &kernel.spaces,
-                    buffers,
-                    buffer_names: buffer_names.clone(),
-                    vars: std::mem::take(&mut warp_vars[w]),
-                    vistack: Vec::with_capacity(16),
-                    vfstack: Vec::with_capacity(16),
-                    stats: LaunchStats::default(),
-                    cycles: 0.0,
-                };
-                exec_block(phase, &mut ctx, warp_masks[w])?;
-                block_cycles += ctx.cycles;
-                total.add(&ctx.stats);
-                warp_vars[w] = ctx.vars;
-            }
-        }
-        total.warps += n_warps as u64;
-        // Round-robin block scheduling over SMs.
-        let sm = block_id % sm_cycles.len();
-        sm_cycles[sm] += block_cycles;
-    }
-    total.cycles = sm_cycles.iter().cloned().fold(0.0, f64::max);
-    record_launch_metrics(&total);
-    Ok(total)
 }
 
 /// Host adapter pricing warp bytecode execution with the simulator's
@@ -440,16 +284,16 @@ impl WarpHost<WARP> for BcHost<'_> {
     }
 }
 
-/// Launches a kernel executing precompiled per-phase bytecode (see
-/// [`compile_phases`]) with the warp-level masked executor. Block/warp
-/// scheduling, barrier semantics and the memory model are identical to
-/// [`launch_tree_walk`]; only per-warp instruction issue differs
-/// (O(insts) instead of O(tree nodes)).
+/// Like [`launch`], but reuses phase bytecode compiled earlier with
+/// [`compile_phases`] (the driver pattern: compile once at module
+/// optimization, launch many times). Blocks run in order, round-robin
+/// over the SMs; within a block every warp finishes phase `k` before any
+/// warp starts phase `k + 1` (barrier semantics).
 ///
 /// # Errors
 ///
 /// Out-of-bounds accesses at runtime.
-pub fn launch_bytecode(
+pub fn launch_precompiled(
     kernel: &Kernel,
     buffers: &mut [Vec<f32>],
     model: &GpuModel,
@@ -565,250 +409,9 @@ fn emit_phase_prof(phases: &[PhaseProf]) {
     }
 }
 
-fn exec_block(body: &[GStmt], ctx: &mut WarpCtx<'_>, mask: [bool; WARP]) -> Result<()> {
-    for s in body {
-        exec_stmt(s, ctx, mask)?;
-    }
-    Ok(())
-}
-
-fn exec_stmt(s: &GStmt, ctx: &mut WarpCtx<'_>, mask: [bool; WARP]) -> Result<()> {
-    if !mask.iter().any(|&m| m) {
-        return Ok(());
-    }
-    match s {
-        GStmt::Let { var, value } => {
-            let v = eval_i(value, ctx, mask)?;
-            for l in 0..WARP {
-                if mask[l] {
-                    ctx.vars[*var as usize][l] = v[l];
-                }
-            }
-            Ok(())
-        }
-        GStmt::Store { buf, index, value } => {
-            let idx = eval_i(index, ctx, mask)?;
-            let val = eval_f(value, ctx, mask)?;
-            ctx.mem_access(*buf, &idx, mask)?;
-            let b = &mut ctx.buffers[*buf as usize];
-            for l in 0..WARP {
-                if mask[l] {
-                    let i = idx[l];
-                    if i < 0 || i as usize >= b.len() {
-                        return Err(Error::OutOfBounds {
-                            buffer: ctx.buffer_names[*buf as usize].clone(),
-                            index: i,
-                            size: b.len(),
-                        });
-                    }
-                    b[i as usize] = val[l];
-                }
-            }
-            Ok(())
-        }
-        GStmt::If { cond, then, else_ } => {
-            let c = eval_i(cond, ctx, mask)?;
-            let mut then_mask = [false; WARP];
-            let mut else_mask = [false; WARP];
-            for l in 0..WARP {
-                if mask[l] {
-                    if c[l] != 0 {
-                        then_mask[l] = true;
-                    } else {
-                        else_mask[l] = true;
-                    }
-                }
-            }
-            let any_then = then_mask.iter().any(|&m| m);
-            let any_else = else_mask.iter().any(|&m| m);
-            if any_then && any_else {
-                ctx.stats.divergent_branches += 1;
-            }
-            if any_then {
-                exec_block(then, ctx, then_mask)?;
-            }
-            if any_else {
-                exec_block(else_, ctx, else_mask)?;
-            }
-            Ok(())
-        }
-        GStmt::For { var, lower, upper, body } => {
-            let lo = eval_i(lower, ctx, mask)?;
-            let hi = eval_i(upper, ctx, mask)?;
-            let mut glo = i64::MAX;
-            let mut ghi = i64::MIN;
-            let mut uniform = true;
-            let mut first: Option<(i64, i64)> = None;
-            for l in 0..WARP {
-                if mask[l] {
-                    glo = glo.min(lo[l]);
-                    ghi = ghi.max(hi[l]);
-                    match first {
-                        None => first = Some((lo[l], hi[l])),
-                        Some(f) => uniform &= f == (lo[l], hi[l]),
-                    }
-                }
-            }
-            if !uniform {
-                ctx.stats.divergent_branches += 1;
-            }
-            let mut v = glo;
-            while v < ghi {
-                let mut iter_mask = [false; WARP];
-                for l in 0..WARP {
-                    iter_mask[l] = mask[l] && lo[l] <= v && v < hi[l];
-                    if iter_mask[l] {
-                        ctx.vars[*var as usize][l] = v;
-                    }
-                }
-                exec_block(body, ctx, iter_mask)?;
-                v += 1;
-            }
-            Ok(())
-        }
-    }
-}
-
-fn eval_i(code: &Code, ctx: &mut WarpCtx<'_>, mask: [bool; WARP]) -> Result<[i64; WARP]> {
-    eval(code, ctx, mask)?;
-    Ok(ctx.vistack.pop().unwrap())
-}
-
-fn eval_f(code: &Code, ctx: &mut WarpCtx<'_>, mask: [bool; WARP]) -> Result<[f32; WARP]> {
-    eval(code, ctx, mask)?;
-    Ok(ctx.vfstack.pop().unwrap())
-}
-
-fn eval(code: &Code, ctx: &mut WarpCtx<'_>, mask: [bool; WARP]) -> Result<()> {
-    ctx.vistack.clear();
-    ctx.vfstack.clear();
-    for op in &code.ops {
-        ctx.stats.warp_instructions += 1;
-        ctx.cycles += ctx.model.alu;
-        match *op {
-            Op::PushF(v) => ctx.vfstack.push([v; WARP]),
-            Op::PushI(v) => ctx.vistack.push([v; WARP]),
-            Op::LoadVar(v) => ctx.vistack.push(ctx.vars[v as usize]),
-            Op::Load(b) => {
-                let idx = ctx.vistack.pop().unwrap();
-                ctx.mem_access(b, &idx, mask)?;
-                let buf = &ctx.buffers[b as usize];
-                let mut out = [0f32; WARP];
-                for l in 0..WARP {
-                    if mask[l] {
-                        let i = idx[l];
-                        if i < 0 || i as usize >= buf.len() {
-                            return Err(Error::OutOfBounds {
-                                buffer: ctx.buffer_names[b as usize].clone(),
-                                index: i,
-                                size: buf.len(),
-                            });
-                        }
-                        out[l] = buf[i as usize];
-                    }
-                }
-                ctx.vfstack.push(out);
-            }
-            Op::BinF(op) => {
-                let b = ctx.vfstack.pop().unwrap();
-                let a = ctx.vfstack.last_mut().unwrap();
-                for l in 0..WARP {
-                    a[l] = apply_f(op, a[l], b[l]);
-                }
-            }
-            Op::BinI(op) => {
-                let b = ctx.vistack.pop().unwrap();
-                let a = ctx.vistack.last_mut().unwrap();
-                for l in 0..WARP {
-                    if mask[l] {
-                        a[l] = apply_i(op, a[l], b[l]);
-                    }
-                }
-            }
-            Op::CmpF(op) => {
-                let b = ctx.vfstack.pop().unwrap();
-                let a = ctx.vfstack.pop().unwrap();
-                let mut out = [0i64; WARP];
-                for l in 0..WARP {
-                    out[l] = cmp_f(op, a[l], b[l]);
-                }
-                ctx.vistack.push(out);
-            }
-            Op::CmpI(op) => {
-                let b = ctx.vistack.pop().unwrap();
-                let a = ctx.vistack.pop().unwrap();
-                let mut out = [0i64; WARP];
-                for l in 0..WARP {
-                    out[l] = cmp_i(op, a[l], b[l]);
-                }
-                ctx.vistack.push(out);
-            }
-            Op::UnF(op) => {
-                let a = ctx.vfstack.last_mut().unwrap();
-                for x in a.iter_mut() {
-                    *x = apply_un_f(op, *x);
-                }
-            }
-            Op::UnI(op) => {
-                let a = ctx.vistack.last_mut().unwrap();
-                for x in a.iter_mut() {
-                    *x = apply_un_i(op, *x);
-                }
-            }
-            Op::SelF => {
-                let b = ctx.vfstack.pop().unwrap();
-                let a = ctx.vfstack.pop().unwrap();
-                let c = ctx.vistack.pop().unwrap();
-                let mut out = [0f32; WARP];
-                for l in 0..WARP {
-                    out[l] = if c[l] != 0 { a[l] } else { b[l] };
-                }
-                ctx.vfstack.push(out);
-            }
-            Op::SelI => {
-                let b = ctx.vistack.pop().unwrap();
-                let a = ctx.vistack.pop().unwrap();
-                let c = ctx.vistack.pop().unwrap();
-                let mut out = [0i64; WARP];
-                for l in 0..WARP {
-                    out[l] = if c[l] != 0 { a[l] } else { b[l] };
-                }
-                ctx.vistack.push(out);
-            }
-            Op::CastIF => {
-                let a = ctx.vistack.pop().unwrap();
-                let mut out = [0f32; WARP];
-                for l in 0..WARP {
-                    out[l] = a[l] as f32;
-                }
-                ctx.vfstack.push(out);
-            }
-            Op::CastFI => {
-                let a = ctx.vfstack.pop().unwrap();
-                let mut out = [0i64; WARP];
-                for l in 0..WARP {
-                    out[l] = a[l] as i64;
-                }
-                ctx.vistack.push(out);
-            }
-        }
-    }
-    Ok(())
-}
-
-impl WarpCtx<'_> {
-    /// Prices one warp memory access to buffer `b` at per-lane element
-    /// indices `idx` (4-byte elements).
-    fn mem_access(&mut self, b: u32, idx: &[i64; WARP], mask: [bool; WARP]) -> Result<()> {
-        mem_access(self.model, self.spaces, &mut self.stats, &mut self.cycles, b, idx, mask);
-        Ok(())
-    }
-}
-
 /// Prices one warp memory access (4-byte elements): coalescing for
 /// global, bank conflicts for shared, broadcast/serialization for
-/// constant, flat cost for local. Shared by the tree-walk and bytecode
-/// executors so both paths count transactions identically.
+/// constant, flat cost for local.
 fn mem_access(
     model: &GpuModel,
     spaces: &[MemSpace],
@@ -1103,39 +706,39 @@ mod tests {
     }
 
     #[test]
-    fn bytecode_matches_tree_walk_bit_exact() {
+    fn phased_kernel_values_and_stats_are_exact() {
         let k = phased_kernel();
-        let mut b_bc = alloc_buffers(&k);
-        let mut b_tw = alloc_buffers(&k);
-        for (i, v) in b_bc[0].iter_mut().enumerate() {
+        let mut bufs = alloc_buffers(&k);
+        for (i, v) in bufs[0].iter_mut().enumerate() {
             *v = (i as f32).sin();
         }
-        b_tw[0].clone_from(&b_bc[0]);
         let phases = compile_phases(&k).unwrap();
-        let s_bc = launch_bytecode(&k, &mut b_bc, &GpuModel::default(), &phases).unwrap();
-        let s_tw = launch_tree_walk(&k, &mut b_tw, &GpuModel::default()).unwrap();
-        for (a, b) in b_bc[2].iter().zip(&b_tw[2]) {
-            assert_eq!(a.to_bits(), b.to_bits());
+        let stats = launch_precompiled(&k, &mut bufs, &GpuModel::default(), &phases).unwrap();
+        for (gid, y) in bufs[2].iter().enumerate() {
+            let s = (gid as f32).sin();
+            let mut want = 0.0f32;
+            for _ in 0..4 {
+                want = want + s * 0.5 + s * 0.5;
+            }
+            assert_eq!(y.to_bits(), want.to_bits(), "y[{gid}]");
         }
-        // CSE keeps repeated loads in registers, so the bytecode path may
-        // issue *fewer* memory accesses — never more — and the same
-        // divergence.
-        assert!(s_bc.global_transactions <= s_tw.global_transactions);
-        assert!(s_bc.shared_accesses < s_tw.shared_accesses);
-        assert_eq!(s_bc.divergent_branches, s_tw.divergent_branches);
-        assert_eq!(s_bc.warps, s_tw.warps);
-        assert!(
-            s_bc.warp_instructions < s_tw.warp_instructions,
-            "{} vs {}",
-            s_bc.warp_instructions,
-            s_tw.warp_instructions
-        );
-        assert!(s_bc.cycles < s_tw.cycles);
+        // One warp per block. Per warp: phase 0 loads x (one 128-byte
+        // segment) and stores sh; each of phase 1's four iterations loads
+        // and stores y and loads sh once (CSE shares the two reads).
+        assert_eq!(stats.warps, 2);
+        assert_eq!(stats.global_transactions, 2 * (1 + 4 * 2));
+        assert_eq!(stats.shared_accesses, 2 * (1 + 4));
+        assert_eq!(stats.bank_conflict_degree, 0);
+        assert_eq!(stats.divergent_branches, 0);
+        // Pinned: the optimized phases' issue count, and the busier SM's
+        // cycles (the two blocks run on different SMs).
+        assert_eq!(stats.warp_instructions, 76);
+        assert_eq!(stats.cycles, 336.0);
     }
 
     #[test]
-    fn bytecode_faults_like_tree_walk() {
-        // Out-of-bounds store at gid = 64..127 for block 1.
+    fn out_of_bounds_store_faults_with_the_first_bad_lane() {
+        // Block 1 stores y[32..64) into a 32-element buffer.
         let mut p = Program::new();
         let y = p.buffer("y", 32);
         let (bx, tx) = (p.var("bx"), p.var("tx"));
@@ -1147,11 +750,10 @@ mod tests {
         let mut k = Kernel::new(p, [2, 1], [32, 1]);
         k.block_vars[0] = Some(bx);
         k.thread_vars[0] = Some(tx);
-        let phases = compile_phases(&k).unwrap();
-        let mut b1 = alloc_buffers(&k);
-        let mut b2 = alloc_buffers(&k);
-        let e_bc = launch_bytecode(&k, &mut b1, &GpuModel::default(), &phases).unwrap_err();
-        let e_tw = launch_tree_walk(&k, &mut b2, &GpuModel::default()).unwrap_err();
-        assert_eq!(e_bc, e_tw);
+        let mut bufs = alloc_buffers(&k);
+        let err = launch(&k, &mut bufs, &GpuModel::default()).unwrap_err();
+        assert_eq!(err, Error::OutOfBounds { buffer: "y".into(), index: 32, size: 32 });
+        // Block 0 completed before the fault.
+        assert!(bufs[0].iter().all(|&v| v == 1.0));
     }
 }

@@ -26,9 +26,7 @@
 
 pub mod exec;
 
-pub use exec::{
-    compile_phases, launch, launch_bytecode, launch_precompiled, launch_tree_walk, LaunchStats,
-};
+pub use exec::{compile_phases, launch, launch_precompiled, LaunchStats};
 
 use loopvm::{Program, Var};
 

@@ -348,9 +348,9 @@ pub fn tiramisu_cpu(name: &str, s: ImgSize) -> tiramisu::Result<Prepared> {
             for c in [neg, bright, mix, out] {
                 f.vectorize(c, "j", 8)?;
             }
-            f.fuse_after(bright, neg, "j")?;
-            f.fuse_after(mix, bright, "j")?;
-            f.fuse_after(out, mix, "j")?;
+            f.fuse_after(bright, neg, "jv")?;
+            f.fuse_after(mix, bright, "jv")?;
+            f.fuse_after(out, mix, "jv")?;
             f.parallelize(neg, "i")?;
             finish(&f, s, "Tiramisu", &["img"], "out", true)
         }

@@ -9,10 +9,11 @@
 //! which over-approximates the halo and packs messages — the two deficits
 //! the paper measures.
 //!
-//! Functionally each rank holds a full (identically seeded) copy of the
-//! input, so results are correct regardless of the traffic; the *figures*
-//! compare modeled compute + communication, which is what the schedules
-//! change.
+//! Each rank holds a full (identically seeded) copy of the input, so
+//! input reads are correct whatever the traffic; rows of an intermediate
+//! that the next rank computes arrive through a halo exchange placed
+//! after their producer. The *figures* compare modeled compute +
+//! communication, which is what the schedules change.
 
 use crate::image::{params, ImgSize};
 use mpisim::{CommModel, DistStats};
@@ -111,6 +112,10 @@ impl DistPrep {
     }
 }
 
+/// One halo exchange: the buffer, how many rows, their length, and the
+/// computation that reads them.
+type Halo = (&'static str, i64, i64, CompId);
+
 /// Builds the Tiramisu distributed variant of a named benchmark for
 /// `ranks` nodes. Benchmarks without cross-rank reads (`cvtColor`, `nb`,
 /// `ticket #2373`) carry no communication, as in the paper.
@@ -136,34 +141,37 @@ pub fn tiramisu_dist_opts(
 ) -> tiramisu::Result<DistPrep> {
     assert_eq!(s.h % ranks, 0, "rows must divide evenly across ranks");
     let chunk = s.h / ranks;
-    let (mut f, comps, inputs, halo_rows, row_elems): (
-        Function,
-        Vec<CompId>,
-        Vec<&str>,
-        i64,
-        i64,
-    ) = match name {
+    // Each halo is (buffer, rows, row length, consumer): after the
+    // producer of `buffer` ran, rank `is` sends its first `rows` rows to
+    // rank `is - 1`, which receives them right before `consumer` reads
+    // them.
+    let (mut f, comps, inputs, halos): (Function, Vec<CompId>, Vec<&str>, Vec<Halo>) = match name {
         "edgeDetector" => {
+            // The ring blur R reads the next rank's first image row; out
+            // reads the next rank's first row of R.
             let (f, r, out) = crate::image::edge_layer1(s);
-            (f, vec![r, out], vec!["imgbuf"], 2, s.w)
+            let halos = vec![("imgbuf", 2, s.w, r), ("R", 1, s.w - 2, out)];
+            (f, vec![r, out], vec!["imgbuf"], halos)
         }
         "cvtColor" => {
             let (f, gray) = crate::image::cvt_layer1(s);
-            (f, vec![gray], vec!["img"], 0, s.w * 3)
+            (f, vec![gray], vec!["img"], vec![])
         }
         "conv2D" => {
             let (f, out) = crate::image::conv2d_layer1(s);
-            (f, vec![out], vec!["img", "w"], 1, s.w)
+            (f, vec![out], vec!["img", "w"], vec![("img", 1, s.w, out)])
         }
         "warpAffine" => {
             // The warp reads a bounded band of source rows around each
             // output row; the schedule exchanges that band.
             let (f, out) = crate::image::warp_layer1(s);
-            (f, vec![out], vec!["img"], (chunk / 4).max(1), s.w)
+            (f, vec![out], vec!["img"], vec![("img", (chunk / 4).max(1), s.w, out)])
         }
         "gaussian" => {
+            // The horizontal pass reads its own image row only; the
+            // vertical pass reads the next rank's first four rows of gx.
             let (f, gx, gy) = crate::image::gaussian_layer1(s);
-            (f, vec![gx, gy], vec!["img", "g"], 4, s.w)
+            (f, vec![gx, gy], vec!["img", "g"], vec![("gx", 4, s.w - 4, gy)])
         }
         "nb" => {
             // Fused, as on a single node.
@@ -173,11 +181,11 @@ pub fn tiramisu_dist_opts(
             f.fuse_after(out, mix, "j")?;
             // All four must be split/distributed identically to keep the
             // fused loops aligned.
-            (f, vec![neg, bright, mix, out], vec!["img"], 0, s.w)
+            (f, vec![neg, bright, mix, out], vec!["img"], vec![])
         }
         "ticket #2373" => {
             let (f, out) = crate::image::ticket_layer1(s);
-            (f, vec![out], vec!["img"], 0, s.w)
+            (f, vec![out], vec!["img"], vec![])
         }
         other => panic!("unknown benchmark {other}"),
     };
@@ -194,16 +202,16 @@ pub fn tiramisu_dist_opts(
             f.vectorize(c, &cols, 8)?;
         }
     }
-    // Halo exchange (exact): rank is sends its first `halo_rows` rows to
+    // Halo exchanges (exact): rank is sends its first `rows` rows to
     // is-1; rank ir receives them from ir+1 at the natural location (the
     // paper's lin(N,0,0) halo slot generalizes to the same-buffer row).
-    if halo_rows > 0 {
+    for (buffer, rows, row_elems, consumer) in halos {
         let is = Var::new("is", E::i64(1), E::i64(ranks));
         let ir = Var::new("ir", E::i64(0), E::i64(ranks - 1));
-        let count = halo_rows * row_elems;
+        let count = rows * row_elems;
         let send = f.send(
             is,
-            inputs[0],
+            buffer,
             E::iter("is") * E::i64(chunk * row_elems),
             E::i64(count),
             E::iter("is") - E::i64(1),
@@ -211,13 +219,13 @@ pub fn tiramisu_dist_opts(
         );
         let recv = f.receive(
             ir,
-            inputs[0],
+            buffer,
             (E::iter("ir") + E::i64(1)) * E::i64(chunk * row_elems),
             E::i64(count),
             E::iter("ir") + E::i64(1),
         );
-        f.comm_before(send, comps[0]);
-        f.comm_before(recv, comps[0]);
+        f.comm_before(send, consumer);
+        f.comm_before(recv, consumer);
     }
     let module = tiramisu::service::global().compile_dist(
         &f,
@@ -372,6 +380,43 @@ mod tests {
             let work: u64 = stats.compute.iter().map(|c| c.stores).sum();
             assert!(work > 0, "{name}: no work executed");
         }
+    }
+
+    #[test]
+    fn every_rank_computes_its_rows_like_the_single_node_oracle() {
+        let s = ImgSize::small();
+        let mut failures = Vec::new();
+        for name in IMAGE_BENCHMARKS {
+            let single = crate::image::tiramisu_cpu(name, s).unwrap();
+            let mut m = single.machine();
+            m.run_tree_walk(&single.program).unwrap();
+            let want = m.buffer(single.output).to_vec();
+            let out_name = single.program.buffer_info(single.output).0.to_string();
+            let row_len = match name {
+                "gaussian" => s.w - 4,
+                "ticket #2373" => s.h,
+                _ => s.w,
+            } as usize;
+            for ranks in [2, 4] {
+                let prep = tiramisu_dist(name, s, ranks).unwrap();
+                let out = prep.module.vm_buffer(&out_name).unwrap();
+                let owned = (s.h / ranks) as usize * row_len;
+                let bad = std::sync::Mutex::new(Vec::new());
+                prep.run_with_opts(&mpisim::RunOptions::default(), |rank, m| {
+                    let got = m.buffer(out);
+                    let rows = (rank * owned).min(got.len())..((rank + 1) * owned).min(got.len());
+                    let n = rows.filter(|&k| got[k].to_bits() != want[k].to_bits()).count();
+                    if n > 0 {
+                        bad.lock().unwrap().push(format!(
+                            "{name}, {ranks} ranks: rank {rank} has {n} wrong elements"
+                        ));
+                    }
+                })
+                .unwrap();
+                failures.extend(bad.into_inner().unwrap());
+            }
+        }
+        assert!(failures.is_empty(), "{}", failures.join("\n"));
     }
 
     #[test]

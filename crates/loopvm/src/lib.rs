@@ -6,8 +6,9 @@
 //! Every compiler in the evaluation (the Tiramisu port, the interval-based
 //! Halide stand-in, the Pluto-like auto-scheduler and the hand-tuned
 //! "vendor" kernels) lowers to the same [`Program`] representation: nested
-//! loops over flat `f32` buffers with expressions compiled to a stack
-//! bytecode. Because all systems share the substrate, *relative*
+//! loops over flat `f32` buffers with expressions compiled to an
+//! optimized register bytecode ([`opt`]). Because all systems share the
+//! substrate, *relative*
 //! performance between schedules — the quantity the paper's figures report
 //! — is produced by the schedules themselves:
 //!
@@ -62,7 +63,7 @@ pub use cost::{CacheCfg, CacheSim, CostModel};
 pub use expr::{BinOp, Expr, Ty, UnOp, Var};
 pub use program::{BufId, Compiled, LoopKind, Program, Stmt};
 pub use simt::{exec_warp, exec_warp_profiled, WarpHost};
-pub use vm::{compile, eval_scalar, Code, ExecMode, Machine, Op, RunStats, ScalarThunk};
+pub use vm::{eval_scalar, ExecMode, Machine, RunStats, ScalarThunk};
 
 /// Errors produced when compiling or executing a program.
 #[derive(Debug, Clone, PartialEq)]

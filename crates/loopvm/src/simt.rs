@@ -9,13 +9,12 @@
 //! bounds checking and divergence accounting stay with the simulator,
 //! behind the [`WarpHost`] trait.
 //!
-//! # Masking rules (differential contract with the tree-walk reference)
+//! # Masking rules
 //!
-//! The tree-walk executor in `gpusim` evaluates most operations on *all*
-//! lanes and masks only the points where garbage could become observable:
-//! buffer loads/stores, integer binary ops (whose `div`/`rem` can trap),
-//! and writes to loop variables and `let` slots. The bytecode executor
-//! mirrors that:
+//! A lane's values are only observable through buffer stores, loop
+//! variables and `let` slots, and a lane may only fault (an
+//! out-of-bounds access, a zero divisor, an `i64::MIN` overflow) while
+//! it is active. The executor guarantees both:
 //!
 //! - constants, variable reads, float arithmetic, comparisons, selects
 //!   and casts execute on all lanes (none of these can trap, and inactive
@@ -23,10 +22,11 @@
 //! - integer binary ops and integer `neg`/`abs` execute only on active
 //!   lanes — the optimizer pins every *trapping* instruction into
 //!   statement-local code (see `crate::opt`), so these always run under
-//!   the exact statement mask the tree-walk reference would use;
+//!   the mask of the statement they came from;
 //! - loads and stores go through the host, which prices the access,
 //!   bounds-checks active lanes only, and fills inactive load lanes
 //!   with `0.0`;
+//! - writes to loop variables and `let` slots update active lanes only;
 //! - `if` splits the mask at the condition register and reports
 //!   divergence when both sides are non-empty; `for` runs the union of
 //!   the active lanes' ranges with a per-iteration mask and reports
@@ -37,6 +37,10 @@
 //! source position. That is sound because the optimizer only hoists
 //! non-trapping instructions, and mask monotonicity guarantees any lane
 //! that later consumes the value was already active at the hoist point.
+//!
+//! Under these rules every active lane computes exactly what one CPU
+//! thread running the same statements would; the cross-backend
+//! differential tests check GPU buffers against the CPU tree-walk oracle.
 
 use crate::bytecode::{BcProgram, BcStmt, Inst, InstClassCounts};
 use crate::vm::{apply_f, apply_i, apply_un_f, apply_un_i, cmp_f, cmp_i};
@@ -162,9 +166,8 @@ fn un_lanes<T: Copy, const W: usize>(
 ///
 /// `vars` is the caller-owned variable frame (one lane vector per
 /// program variable); it persists across calls so multi-phase kernels
-/// keep loop-variable state between barrier-delimited phases, exactly
-/// like the tree-walk reference. `mask` is the warp's entry mask (lanes
-/// beyond the launch extent are inactive).
+/// keep loop-variable state between barrier-delimited phases. `mask` is
+/// the warp's entry mask (lanes beyond the launch extent are inactive).
 ///
 /// # Errors
 ///
@@ -174,7 +177,7 @@ fn un_lanes<T: Copy, const W: usize>(
 /// # Panics
 ///
 /// Integer division/remainder by zero (or `i64::MIN` overflow cases) in
-/// an *active* lane panics, exactly as the tree-walk reference does.
+/// an *active* lane panics with the same message as on the CPU.
 pub fn exec_warp<const W: usize, H: WarpHost<W>>(
     bc: &BcProgram,
     vars: &mut [[i64; W]],

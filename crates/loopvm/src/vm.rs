@@ -1,7 +1,12 @@
-//! The virtual machine: bytecode compilation and execution.
+//! The virtual machine: buffer storage and the CPU executors.
 //!
-//! Expressions are compiled once into a stack bytecode; loops interpret it.
-//! Three execution paths give the substrate its performance texture:
+//! Programs run on the optimized register bytecode ([`crate::opt`]), or on
+//! native code compiled from it ([`crate::jit`]). The bytecode interpreter
+//! is generic over one observer hook: unobserved runs compile with no
+//! checks, `TIRAMISU_PROFILE` runs feed the sampled loop profiler, and
+//! [`Machine::run_with_stats`] prices every instruction with the
+//! [`CostModel`] and its cache simulator. Three execution paths give the
+//! substrate its performance texture:
 //!
 //! - **serial**: straightforward interpretation,
 //! - **parallel** ([`LoopKind::Parallel`]): the iteration range is split
@@ -11,6 +16,10 @@
 //! - **vector** ([`LoopKind::Vectorize`]): the body is evaluated over
 //!   lanes of [`LANES`] iterations at once, amortizing interpreter dispatch
 //!   the way SIMD amortizes instruction issue.
+//!
+//! A small stack-code tree-walk over the source statements
+//! ([`Machine::run_tree_walk`]) is kept as the differential oracle every
+//! backend is tested against.
 
 use crate::bytecode::{BCode, BcProgram, BcStmt, Inst, InstClassCounts};
 use crate::cost::{CacheSim, CostModel};
@@ -46,7 +55,9 @@ pub struct RunStats {
 }
 
 impl RunStats {
-    fn add(&mut self, o: &RunStats) {
+    /// Adds another run's counts and cycles to these (e.g. to total the
+    /// compute chunks of one distributed rank).
+    pub fn add(&mut self, o: &RunStats) {
         self.stores += o.stores;
         self.loads += o.loads;
         self.flops += o.flops;
@@ -90,14 +101,12 @@ impl std::fmt::Display for RunStats {
 }
 
 // ---------------------------------------------------------------------------
-// Bytecode
+// Stack code (the tree-walk oracle and scalar thunks)
 // ---------------------------------------------------------------------------
 
-/// One bytecode operation (public so device simulators building on the
-/// same expression language — e.g. the GPU SIMT simulator — can interpret
-/// compiled expressions with their own execution semantics).
+/// One stack-code operation.
 #[derive(Debug, Clone, Copy)]
-pub enum Op {
+pub(crate) enum Op {
     /// Push an `f32` constant.
     PushF(f32),
     /// Push an `i64` constant.
@@ -130,19 +139,16 @@ pub enum Op {
 
 /// A compiled expression: a flat operation sequence plus its result type.
 #[derive(Debug, Clone)]
-pub struct Code {
+pub(crate) struct Code {
     /// The operations, in evaluation order.
-    pub ops: Vec<Op>,
+    ops: Vec<Op>,
     /// Result type.
-    pub ty: Ty,
+    ty: Ty,
 }
 
-/// Compiles an expression tree into stack bytecode.
-///
-/// # Errors
-///
-/// [`Error::Type`] on operand mismatches.
-pub fn compile(e: &Expr) -> Result<Code> {
+/// Compiles an expression tree into stack code; [`Error::Type`] on
+/// operand mismatches.
+fn compile(e: &Expr) -> Result<Code> {
     let mut ops = Vec::new();
     let ty = compile_into(e, &mut ops)?;
     Ok(Code { ops, ty })
@@ -346,16 +352,17 @@ impl SharedBuf {
 // Machine
 // ---------------------------------------------------------------------------
 
-/// Which evaluator [`Machine::run`] uses.
+/// Which executor [`Machine::run`] uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
-    /// The optimized register bytecode ([`crate::opt`]): the default fast
-    /// path.
+    /// The optimized register bytecode ([`crate::opt`]) on the
+    /// interpreter.
     #[default]
     Bytecode,
-    /// The original stack-walking evaluator: the reference semantics the
-    /// bytecode is differentially tested against. Also selectable
-    /// process-wide with the `LOOPVM_TREEWALK` environment variable.
+    /// The stack-code tree-walk over the source statements: the oracle
+    /// the other executors are differentially tested against. It is only
+    /// selected explicitly ([`Machine::set_exec_mode`]), and it does not
+    /// gather statistics.
     TreeWalk,
     /// Native x86-64 code generated by [`crate::jit`]: the default on
     /// supported targets (opt out with `LOOPVM_JIT=0`). Programs the JIT
@@ -367,20 +374,14 @@ pub enum ExecMode {
 
 impl ExecMode {
     /// The one place executor-mode environment variables are interpreted
-    /// (all per [`telemetry::env_flag`] semantics).
+    /// (per [`telemetry::env_flag`] semantics).
     ///
-    /// `treewalk_var` names the caller's tree-walk override
-    /// (`LOOPVM_TREEWALK` for [`Machine`], `GPUSIM_TREEWALK` for the GPU
-    /// simulator) and wins when set. Otherwise, when the caller supports
-    /// the native tier (`allow_jit`) and the target does, `Jit` is
-    /// selected unless `LOOPVM_JIT` is set to an off value (`0` or
-    /// empty); everything else resolves to `Bytecode`.
+    /// When the target supports the native tier, `Jit` is selected
+    /// unless `LOOPVM_JIT` is set to an off value (`0` or empty);
+    /// everything else resolves to `Bytecode`.
     #[must_use]
-    pub fn from_env(treewalk_var: &str, allow_jit: bool) -> ExecMode {
-        if telemetry::env_flag(treewalk_var) {
-            ExecMode::TreeWalk
-        } else if allow_jit
-            && crate::jit::supported()
+    pub fn from_env() -> ExecMode {
+        if crate::jit::supported()
             && (std::env::var_os("LOOPVM_JIT").is_none() || telemetry::env_flag("LOOPVM_JIT"))
         {
             ExecMode::Jit
@@ -395,6 +396,7 @@ pub struct Machine {
     bufs: Vec<SharedBuf>,
     threads: usize,
     cost: CostModel,
+    /// Modeled base address of every buffer (for the cache simulator).
     bases: Vec<u64>,
     mode: ExecMode,
 }
@@ -430,18 +432,26 @@ pub(crate) fn vm_metrics() -> &'static VmMetrics {
 
 struct ExecCtx<'a> {
     bufs: &'a [SharedBuf],
-    bases: &'a [u64],
     threads: usize,
     frame: Vec<i64>,
     istack: Vec<i64>,
     fstack: Vec<f32>,
     vistack: Vec<[i64; LANES]>,
     vfstack: Vec<[f32; LANES]>,
-    stats: RunStats,
-    cache: CacheSim,
-    /// Depth of enclosing parallel loops (cycles are divided by the
-    /// modeled core count only at the outermost one).
-    parallel_depth: u32,
+}
+
+impl<'a> ExecCtx<'a> {
+    fn new(bufs: &'a [SharedBuf], threads: usize, frame: Vec<i64>) -> ExecCtx<'a> {
+        ExecCtx {
+            bufs,
+            threads,
+            frame,
+            istack: Vec::with_capacity(16),
+            fstack: Vec::with_capacity(16),
+            vistack: Vec::with_capacity(16),
+            vfstack: Vec::with_capacity(16),
+        }
+    }
 }
 
 impl Machine {
@@ -467,7 +477,7 @@ impl Machine {
             threads: default_threads(),
             cost: CostModel::default(),
             bases,
-            mode: default_exec_mode(),
+            mode: ExecMode::from_env(),
         }
     }
 
@@ -496,15 +506,15 @@ impl Machine {
         self.threads
     }
 
-    /// Selects the evaluator used by [`Machine::run`]. The stats-gathering
-    /// paths ([`Machine::run_with_stats`], [`Machine::run_body`]) always
-    /// use the tree-walk evaluator, whose cost accounting is the model's
-    /// reference.
+    /// Selects the executor used by [`Machine::run`]. The statistics
+    /// paths ([`Machine::run_with_stats`],
+    /// [`Machine::run_bytecode_with_stats`]) always run the program's
+    /// bytecode on the interpreter, whatever the mode.
     pub fn set_exec_mode(&mut self, mode: ExecMode) {
         self.mode = mode;
     }
 
-    /// The evaluator [`Machine::run`] currently uses.
+    /// The executor [`Machine::run`] currently uses.
     pub fn exec_mode(&self) -> ExecMode {
         self.mode
     }
@@ -519,7 +529,7 @@ impl Machine {
         unsafe { &mut *self.bufs[b.index()].data.get() }
     }
 
-    /// Runs the program with the configured evaluator (by default native
+    /// Runs the program with the configured executor (by default native
     /// code where the JIT tier exists, else the optimized register
     /// bytecode; see [`Machine::set_exec_mode`]).
     ///
@@ -559,7 +569,7 @@ impl Machine {
             }
             ExecMode::TreeWalk => {
                 let t0 = std::time::Instant::now();
-                let r = self.run_inner::<false>(p).map(|_| ());
+                let r = self.run_tree_walk(p);
                 vm_metrics().run_tree_walk_us.record_duration(t0.elapsed());
                 r
             }
@@ -583,14 +593,16 @@ impl Machine {
         r
     }
 
-    /// Runs the program with the reference tree-walk evaluator regardless
-    /// of the configured mode (differential baseline).
+    /// Runs the program on the stack-code tree-walk regardless of the
+    /// configured mode: the differential oracle.
     ///
     /// # Errors
     ///
     /// Same as [`Machine::run`].
     pub fn run_tree_walk(&mut self, p: &Program) -> Result<()> {
-        self.run_inner::<false>(p).map(|_| ())
+        let compiled: Vec<CStmt> = p.body.iter().map(compile_stmt).collect::<Result<_>>()?;
+        let mut ctx = ExecCtx::new(&self.bufs, self.threads, vec![0i64; p.n_vars()]);
+        exec_block(&compiled, &mut ctx)
     }
 
     /// Runs a precompiled bytecode program (see
@@ -605,27 +617,7 @@ impl Machine {
     ///
     /// Out-of-bounds accesses at runtime.
     pub fn run_bytecode(&mut self, bc: &BcProgram) -> Result<()> {
-        let _sp = telemetry::span("vm", "run_bytecode");
-        let t0 = std::time::Instant::now();
-        let mut ctx = BcCtx {
-            bufs: &self.bufs,
-            threads: self.threads,
-            frame: vec![0i64; bc.n_vars],
-            ir: vec![0i64; bc.n_iregs as usize],
-            fr: vec![0f32; bc.n_fregs as usize],
-            vir: vec![[0i64; LANES]; bc.n_iregs as usize],
-            vfr: vec![[0f32; LANES]; bc.n_fregs as usize],
-            vset: vec![false; bc.n_iregs as usize],
-            vfset: vec![false; bc.n_fregs as usize],
-            prof: telemetry::profile_enabled().then(Box::<BcProf>::default),
-        };
-        let r = bc_run_insts(&bc.prologue, &mut ctx)
-            .and_then(|()| bc_exec_block(&bc.body, &mut ctx));
-        vm_metrics().run_bytecode_us.record_duration(t0.elapsed());
-        if let Some(p) = ctx.prof.take() {
-            p.emit(&bc.var_names);
-        }
-        r
+        self.run_bytecode_with_frame(bc, &[])
     }
 
     /// Like [`Machine::run_bytecode`], but seeds the variable frame with
@@ -636,6 +628,7 @@ impl Machine {
     /// compiling per rank.
     ///
     /// Unbound variables start at `0`, matching [`Machine::run_bytecode`].
+    /// Under `TIRAMISU_PROFILE` the run feeds the bytecode profiler.
     ///
     /// # Errors
     ///
@@ -647,101 +640,78 @@ impl Machine {
     ) -> Result<()> {
         let _sp = telemetry::span("vm", "run_bytecode");
         let t0 = std::time::Instant::now();
-        let mut frame = vec![0i64; bc.n_vars];
-        for (v, val) in seed {
-            frame[v.index()] = *val;
-        }
-        let mut ctx = BcCtx {
-            bufs: &self.bufs,
-            threads: self.threads,
-            frame,
-            ir: vec![0i64; bc.n_iregs as usize],
-            fr: vec![0f32; bc.n_fregs as usize],
-            vir: vec![[0i64; LANES]; bc.n_iregs as usize],
-            vfr: vec![[0f32; LANES]; bc.n_fregs as usize],
-            vset: vec![false; bc.n_iregs as usize],
-            vfset: vec![false; bc.n_fregs as usize],
-            prof: telemetry::profile_enabled().then(Box::<BcProf>::default),
+        let r = if telemetry::profile_enabled() {
+            let (r, prof) = self.exec_bytecode(bc, seed, self.threads, BcProf::default());
+            prof.emit(&bc.var_names);
+            r
+        } else {
+            self.exec_bytecode(bc, seed, self.threads, ()).0
         };
-        let r = bc_run_insts(&bc.prologue, &mut ctx)
-            .and_then(|()| bc_exec_block(&bc.body, &mut ctx));
         vm_metrics().run_bytecode_us.record_duration(t0.elapsed());
-        if let Some(p) = ctx.prof.take() {
-            p.emit(&bc.var_names);
-        }
         r
     }
 
-    /// Runs the program, gathering [`RunStats`] (slower; for tests, cost
-    /// models and the benchmark harness's operation counts).
+    /// Runs the program's bytecode ([`Program::compiled`]) under the
+    /// machine's [`CostModel`], gathering [`RunStats`]: one `alu` per
+    /// integer or float binary operation, a flop per float one, every
+    /// load and store through the cache simulator, one dispatch per lane
+    /// group in vectorized loops, and parallel loops run serially with the
+    /// outermost one's cycles divided by `min(cores, extent)`. Buffers end
+    /// up exactly as after [`Machine::run`].
     ///
     /// # Errors
     ///
     /// Same as [`Machine::run`].
     pub fn run_with_stats(&mut self, p: &Program) -> Result<RunStats> {
-        self.run_inner::<true>(p)
+        let code = p.compiled()?;
+        self.run_bytecode_with_stats(code.bytecode(), &[])
     }
 
-    /// Runs an arbitrary statement list against this machine's storage
-    /// (used by runtimes that interleave computation with other operations,
-    /// e.g. the distributed simulator's send/receive).
+    /// [`Machine::run_bytecode_with_frame`] priced like
+    /// [`Machine::run_with_stats`]. Each call starts with cold caches.
     ///
     /// # Errors
     ///
-    /// Same as [`Machine::run`].
-    pub fn run_body(&mut self, p: &Program, body: &[Stmt]) -> Result<RunStats> {
-        self.run_body_inner::<false>(p, body)
-    }
-
-    /// [`Machine::run_body`] with statistics gathering.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Machine::run`].
-    pub fn run_body_with_stats(&mut self, p: &Program, body: &[Stmt]) -> Result<RunStats> {
-        self.run_body_inner::<true>(p, body)
-    }
-
-    fn run_body_inner<const STATS: bool>(&mut self, p: &Program, body: &[Stmt]) -> Result<RunStats> {
-        let compiled: Vec<CStmt> = body.iter().map(compile_stmt).collect::<Result<_>>()?;
-        let mut ctx = ExecCtx {
-            bufs: &self.bufs,
+    /// Out-of-bounds accesses at runtime.
+    pub fn run_bytecode_with_stats(
+        &mut self,
+        bc: &BcProgram,
+        seed: &[(crate::expr::Var, i64)],
+    ) -> Result<RunStats> {
+        let cost = CostObs {
             bases: &self.bases,
-            threads: self.threads,
-            frame: vec![0i64; p.n_vars()],
-            istack: Vec::with_capacity(16),
-            fstack: Vec::with_capacity(16),
-            vistack: Vec::with_capacity(16),
-            vfstack: Vec::with_capacity(16),
-            stats: RunStats::default(),
             cache: CacheSim::new(self.cost),
+            stats: RunStats::default(),
             parallel_depth: 0,
         };
-        exec_block::<STATS>(&compiled, &mut ctx)?;
-        ctx.stats.l1_misses = ctx.cache.l1_misses;
-        ctx.stats.l2_misses = ctx.cache.l2_misses;
-        Ok(ctx.stats)
+        // One thread: parallel loops run serially so the cache simulation
+        // is deterministic; `CostObs` credits the modeled cores instead.
+        let (r, mut cost) = self.exec_bytecode(bc, seed, 1, cost);
+        r?;
+        cost.stats.l1_misses = cost.cache.l1_misses;
+        cost.stats.l2_misses = cost.cache.l2_misses;
+        Ok(cost.stats)
     }
 
-    fn run_inner<const STATS: bool>(&mut self, p: &Program) -> Result<RunStats> {
-        let compiled: Vec<CStmt> = p.body.iter().map(compile_stmt).collect::<Result<_>>()?;
-        let mut ctx = ExecCtx {
-            bufs: &self.bufs,
-            bases: &self.bases,
-            threads: self.threads,
-            frame: vec![0i64; p.n_vars()],
-            istack: Vec::with_capacity(16),
-            fstack: Vec::with_capacity(16),
-            vistack: Vec::with_capacity(16),
-            vfstack: Vec::with_capacity(16),
-            stats: RunStats::default(),
-            cache: CacheSim::new(self.cost),
-            parallel_depth: 0,
-        };
-        exec_block::<STATS>(&compiled, &mut ctx)?;
-        ctx.stats.l1_misses = ctx.cache.l1_misses;
-        ctx.stats.l2_misses = ctx.cache.l2_misses;
-        Ok(ctx.stats)
+    /// Runs `bc` on the interpreter under observer `obs`, which is handed
+    /// back whether or not the run succeeds.
+    fn exec_bytecode<O: Observer>(
+        &self,
+        bc: &BcProgram,
+        seed: &[(crate::expr::Var, i64)],
+        threads: usize,
+        obs: O,
+    ) -> (Result<()>, O) {
+        let mut frame = vec![0i64; bc.n_vars];
+        for (v, val) in seed {
+            frame[v.index()] = *val;
+        }
+        let ir = vec![0; bc.n_iregs as usize];
+        let fr = vec![0.0; bc.n_fregs as usize];
+        let mut ctx = BcCtx::new(&self.bufs, threads, frame, ir, fr, obs);
+        let r = bc_run_insts(&bc.prologue, &mut ctx)
+            .and_then(|()| bc_exec_block(&bc.body, &mut ctx));
+        (r, ctx.obs)
     }
 }
 
@@ -749,23 +719,19 @@ fn default_threads() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
-fn default_exec_mode() -> ExecMode {
-    ExecMode::from_env("LOOPVM_TREEWALK", true)
-}
-
 // ---------------------------------------------------------------------------
-// Scalar execution
+// Tree-walk execution (the differential oracle)
 // ---------------------------------------------------------------------------
 
 #[inline]
-fn eval<const STATS: bool>(code: &Code, ctx: &mut ExecCtx<'_>) -> Result<()> {
+fn eval(code: &Code, ctx: &mut ExecCtx<'_>) -> Result<()> {
     ctx.istack.clear();
     ctx.fstack.clear();
-    eval_keep::<STATS>(code, ctx)
+    eval_keep(code, ctx)
 }
 
 /// Evaluates without clearing the stacks (caller manages stack discipline).
-fn eval_keep<const STATS: bool>(code: &Code, ctx: &mut ExecCtx<'_>) -> Result<()> {
+fn eval_keep(code: &Code, ctx: &mut ExecCtx<'_>) -> Result<()> {
     for op in &code.ops {
         match *op {
             Op::PushF(v) => ctx.fstack.push(v),
@@ -774,28 +740,16 @@ fn eval_keep<const STATS: bool>(code: &Code, ctx: &mut ExecCtx<'_>) -> Result<()
             Op::Load(b) => {
                 let idx = ctx.istack.pop().unwrap();
                 let v = ctx.bufs[b as usize].get(idx)?;
-                if STATS {
-                    ctx.stats.loads += 1;
-                    let addr = ctx.bases[b as usize] + (idx as u64) * 4;
-                    ctx.stats.cycles += ctx.cache.access(addr);
-                }
                 ctx.fstack.push(v);
             }
             Op::BinF(op) => {
                 let b = ctx.fstack.pop().unwrap();
                 let a = ctx.fstack.pop().unwrap();
-                if STATS {
-                    ctx.stats.flops += 1;
-                    ctx.stats.cycles += ctx.cache.model().alu;
-                }
                 ctx.fstack.push(apply_f(op, a, b));
             }
             Op::BinI(op) => {
                 let b = ctx.istack.pop().unwrap();
                 let a = ctx.istack.pop().unwrap();
-                if STATS {
-                    ctx.stats.cycles += ctx.cache.model().alu;
-                }
                 ctx.istack.push(apply_i(op, a, b));
             }
             Op::CmpF(op) => {
@@ -842,7 +796,8 @@ fn eval_keep<const STATS: bool>(code: &Code, ctx: &mut ExecCtx<'_>) -> Result<()
 }
 
 #[inline(always)]
-/// Applies an `f32` binary operation (shared with device simulators).
+/// Applies an `f32` binary operation (shared by every executor and the
+/// optimizer's constant folding).
 pub fn apply_f(op: BinOp, a: f32, b: f32) -> f32 {
     match op {
         BinOp::Add => a + b,
@@ -918,80 +873,53 @@ pub fn apply_un_i(op: UnOp, a: i64) -> i64 {
     }
 }
 
-fn exec_block<const STATS: bool>(body: &[CStmt], ctx: &mut ExecCtx<'_>) -> Result<()> {
+fn exec_block(body: &[CStmt], ctx: &mut ExecCtx<'_>) -> Result<()> {
     for s in body {
-        exec_stmt::<STATS>(s, ctx)?;
+        exec_stmt(s, ctx)?;
     }
     Ok(())
 }
 
-fn eval_i64<const STATS: bool>(code: &Code, ctx: &mut ExecCtx<'_>) -> Result<i64> {
-    eval::<STATS>(code, ctx)?;
+fn eval_i64(code: &Code, ctx: &mut ExecCtx<'_>) -> Result<i64> {
+    eval(code, ctx)?;
     Ok(ctx.istack.pop().unwrap())
 }
 
-fn exec_stmt<const STATS: bool>(s: &CStmt, ctx: &mut ExecCtx<'_>) -> Result<()> {
+fn exec_stmt(s: &CStmt, ctx: &mut ExecCtx<'_>) -> Result<()> {
     match s {
         CStmt::Let { var, value } => {
-            let v = eval_i64::<STATS>(value, ctx)?;
+            let v = eval_i64(value, ctx)?;
             ctx.frame[*var as usize] = v;
             Ok(())
         }
         CStmt::Store { buf, index, value } => {
-            let idx = eval_i64::<STATS>(index, ctx)?;
-            eval::<STATS>(value, ctx)?;
+            let idx = eval_i64(index, ctx)?;
+            eval(value, ctx)?;
             let v = ctx.fstack.pop().unwrap();
-            if STATS {
-                ctx.stats.stores += 1;
-                let addr = ctx.bases[*buf as usize] + (idx as u64) * 4;
-                ctx.stats.cycles += ctx.cache.access(addr);
-            }
             ctx.bufs[*buf as usize].set(idx, v)
         }
         CStmt::If { cond, then, else_ } => {
-            let c = eval_i64::<STATS>(cond, ctx)?;
+            let c = eval_i64(cond, ctx)?;
             if c != 0 {
-                exec_block::<STATS>(then, ctx)
+                exec_block(then, ctx)
             } else {
-                exec_block::<STATS>(else_, ctx)
+                exec_block(else_, ctx)
             }
         }
         CStmt::For { var, lower, upper, kind, body } => {
-            let lo = eval_i64::<STATS>(lower, ctx)?;
-            let hi = eval_i64::<STATS>(upper, ctx)?;
+            let lo = eval_i64(lower, ctx)?;
+            let hi = eval_i64(upper, ctx)?;
             match kind {
-                LoopKind::Parallel if STATS => {
-                    // Stats path: run serially (deterministic cache
-                    // simulation), then credit the modeled core count to
-                    // the outermost parallel loop's body cycles.
-                    let before = ctx.stats.cycles;
-                    ctx.parallel_depth += 1;
-                    for v in lo..hi {
-                        ctx.frame[*var as usize] = v;
-                        ctx.stats.iterations += 1;
-                        exec_block::<STATS>(body, ctx)?;
-                    }
-                    ctx.parallel_depth -= 1;
-                    if ctx.parallel_depth == 0 {
-                        let d = (ctx.cache.model().cores as i64).min((hi - lo).max(1)) as f64;
-                        let region = ctx.stats.cycles - before;
-                        ctx.stats.cycles = before + region / d;
-                    }
-                    Ok(())
-                }
                 LoopKind::Parallel if ctx.threads > 1 && hi - lo > 1 => {
-                    exec_parallel::<STATS>(*var, lo, hi, body, ctx)
+                    exec_parallel(*var, lo, hi, body, ctx)
                 }
                 LoopKind::Vectorize(_) if body_vectorizable(body) => {
-                    exec_vector::<STATS>(*var, lo, hi, body, ctx)
+                    exec_vector(*var, lo, hi, body, ctx)
                 }
                 _ => {
                     for v in lo..hi {
                         ctx.frame[*var as usize] = v;
-                        if STATS {
-                            ctx.stats.iterations += 1;
-                        }
-                        exec_block::<STATS>(body, ctx)?;
+                        exec_block(body, ctx)?;
                     }
                     Ok(())
                 }
@@ -1004,7 +932,7 @@ fn exec_stmt<const STATS: bool>(s: &CStmt, ctx: &mut ExecCtx<'_>) -> Result<()> 
 // Parallel execution
 // ---------------------------------------------------------------------------
 
-fn exec_parallel<const STATS: bool>(
+fn exec_parallel(
     var: u32,
     lo: i64,
     hi: i64,
@@ -1015,10 +943,7 @@ fn exec_parallel<const STATS: bool>(
     let workers = ctx.threads.min(n.max(1));
     let chunk = n.div_ceil(workers);
     let bufs = ctx.bufs;
-    let bases = ctx.bases;
-    let model = *ctx.cache.model();
-    let frame_proto = ctx.frame.clone();
-    let threads = ctx.threads;
+    let frame_proto = &ctx.frame;
     let results = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(workers);
         for w in 0..workers {
@@ -1027,42 +952,19 @@ fn exec_parallel<const STATS: bool>(
             if start >= end {
                 continue;
             }
-            let frame = frame_proto.clone();
-            handles.push(scope.spawn(move || -> Result<RunStats> {
-                let mut sub = ExecCtx {
-                    bufs,
-                    bases,
-                    // Nested parallel loops run serially inside a worker.
-                    threads: 1,
-                    frame,
-                    istack: Vec::with_capacity(16),
-                    fstack: Vec::with_capacity(16),
-                    vistack: Vec::with_capacity(16),
-                    vfstack: Vec::with_capacity(16),
-                    stats: RunStats::default(),
-                    cache: CacheSim::new(model),
-                    parallel_depth: 1,
-                };
-                let _ = threads;
+            handles.push(scope.spawn(move || -> Result<()> {
+                // Nested parallel loops run serially inside a worker.
+                let mut sub = ExecCtx::new(bufs, 1, frame_proto.clone());
                 for v in start..end {
                     sub.frame[var as usize] = v;
-                    if STATS {
-                        sub.stats.iterations += 1;
-                    }
-                    exec_block::<STATS>(body, &mut sub)?;
+                    exec_block(body, &mut sub)?;
                 }
-                Ok(sub.stats)
+                Ok(())
             }));
         }
         handles.into_iter().map(|h| h.join().expect("worker panicked")).collect::<Vec<_>>()
     });
-    for r in results {
-        let s = r?;
-        if STATS {
-            ctx.stats.add(&s);
-        }
-    }
-    Ok(())
+    results.into_iter().collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -1075,7 +977,7 @@ fn body_vectorizable(body: &[CStmt]) -> bool {
     body.iter().all(|s| matches!(s, CStmt::Store { .. } | CStmt::Let { .. }))
 }
 
-fn exec_vector<const STATS: bool>(
+fn exec_vector(
     var: u32,
     lo: i64,
     hi: i64,
@@ -1084,19 +986,13 @@ fn exec_vector<const STATS: bool>(
 ) -> Result<()> {
     let mut v = lo;
     while v + (LANES as i64) <= hi {
-        if STATS {
-            ctx.stats.iterations += LANES as u64;
-        }
-        exec_vector_chunk::<STATS>(var, v, body, ctx)?;
+        exec_vector_chunk(var, v, body, ctx)?;
         v += LANES as i64;
     }
     // Scalar remainder.
     while v < hi {
         ctx.frame[var as usize] = v;
-        if STATS {
-            ctx.stats.iterations += 1;
-        }
-        exec_block::<STATS>(body, ctx)?;
+        exec_block(body, ctx)?;
         v += 1;
     }
     Ok(())
@@ -1104,7 +1000,7 @@ fn exec_vector<const STATS: bool>(
 
 /// Per-lane variable overlays: the vector frame is the scalar frame plus a
 /// lane-varying overlay for the vector var and vector lets.
-fn exec_vector_chunk<const STATS: bool>(
+fn exec_vector_chunk(
     var: u32,
     base: i64,
     body: &[CStmt],
@@ -1121,19 +1017,15 @@ fn exec_vector_chunk<const STATS: bool>(
         match s {
             CStmt::Let { var, value } => {
                 let mut out = [0i64; LANES];
-                veval_i::<STATS>(value, ctx, &overlay, &mut out)?;
+                veval_i(value, ctx, &overlay, &mut out)?;
                 overlay.retain(|(v, _)| v != var);
                 overlay.push((*var, out));
             }
             CStmt::Store { buf, index, value } => {
                 let mut idx = [0i64; LANES];
-                veval_i::<STATS>(index, ctx, &overlay, &mut idx)?;
+                veval_i(index, ctx, &overlay, &mut idx)?;
                 let mut val = [0f32; LANES];
-                veval_f::<STATS>(value, ctx, &overlay, &mut val)?;
-                if STATS {
-                    ctx.stats.stores += LANES as u64;
-                    ctx.stats.cycles += vector_mem_cost(ctx, *buf, &idx);
-                }
+                veval_f(value, ctx, &overlay, &mut val)?;
                 let b = &ctx.bufs[*buf as usize];
                 for l in 0..LANES {
                     b.set(idx[l], val[l])?;
@@ -1145,29 +1037,29 @@ fn exec_vector_chunk<const STATS: bool>(
     Ok(())
 }
 
-fn veval_i<const STATS: bool>(
+fn veval_i(
     code: &Code,
     ctx: &mut ExecCtx<'_>,
     overlay: &[(u32, [i64; LANES])],
     out: &mut [i64; LANES],
 ) -> Result<()> {
-    veval::<STATS>(code, ctx, overlay)?;
+    veval(code, ctx, overlay)?;
     *out = ctx.vistack.pop().unwrap();
     Ok(())
 }
 
-fn veval_f<const STATS: bool>(
+fn veval_f(
     code: &Code,
     ctx: &mut ExecCtx<'_>,
     overlay: &[(u32, [i64; LANES])],
     out: &mut [f32; LANES],
 ) -> Result<()> {
-    veval::<STATS>(code, ctx, overlay)?;
+    veval(code, ctx, overlay)?;
     *out = ctx.vfstack.pop().unwrap();
     Ok(())
 }
 
-fn veval<const STATS: bool>(
+fn veval(
     code: &Code,
     ctx: &mut ExecCtx<'_>,
     overlay: &[(u32, [i64; LANES])],
@@ -1192,19 +1084,11 @@ fn veval<const STATS: bool>(
                 for l in 0..LANES {
                     out[l] = buf.get(idx[l])?;
                 }
-                if STATS {
-                    ctx.stats.loads += LANES as u64;
-                    ctx.stats.cycles += vector_mem_cost(ctx, b, &idx);
-                }
                 ctx.vfstack.push(out);
             }
             Op::BinF(op) => {
                 let b = ctx.vfstack.pop().unwrap();
                 let a = ctx.vfstack.last_mut().unwrap();
-                if STATS {
-                    ctx.stats.flops += LANES as u64;
-                    ctx.stats.cycles += ctx.cache.model().alu;
-                }
                 for l in 0..LANES {
                     a[l] = apply_f(op, a[l], b[l]);
                 }
@@ -1212,9 +1096,6 @@ fn veval<const STATS: bool>(
             Op::BinI(op) => {
                 let b = ctx.vistack.pop().unwrap();
                 let a = ctx.vistack.last_mut().unwrap();
-                if STATS {
-                    ctx.stats.cycles += ctx.cache.model().alu;
-                }
                 for l in 0..LANES {
                     a[l] = apply_i(op, a[l], b[l]);
                 }
@@ -1402,10 +1283,44 @@ impl ScalarThunk {
 // Register-bytecode execution (the optimized fast path)
 // ---------------------------------------------------------------------------
 
+/// The interpreter's one observer hook. The interpreter is generic over
+/// it, so every observer gets its own compiled copy: `()` is the
+/// unobserved path, whose empty hooks compile away; [`BcProf`] is the
+/// sampled profiler and [`CostObs`] the CPU cost model.
+pub(crate) trait Observer: Send + Sized {
+    /// What [`Observer::loop_enter`] hands to the matching
+    /// [`Observer::loop_exit`].
+    type Mark;
+    /// A fresh observer for one worker of a threaded parallel loop.
+    fn fork(&self) -> Self;
+    /// Folds a worker's observations back in, in spawn order, after the
+    /// join.
+    fn join(&mut self, worker: Self);
+    /// One dispatch of an instruction list: scalar, or one lane group.
+    fn insts(&mut self, _insts: &[Inst]) {}
+    /// A binary operation over `lanes` lanes (`float` for `BinF`).
+    fn arith(&mut self, _float: bool, _lanes: u64) {}
+    /// A load or store of `buf` at `idx` (one index, or one per lane),
+    /// reported once its bounds checks passed.
+    fn access(&mut self, _buf: u32, _idx: &[i64], _store: bool) {}
+    /// Entry to a `For` loop of `trip` iterations.
+    fn loop_enter(&mut self, var: u32, trip: u64, kind: LoopKind) -> Self::Mark;
+    /// Exit from the loop `mark` was entered with.
+    fn loop_exit(&mut self, var: u32, mark: Self::Mark);
+}
+
+impl Observer for () {
+    type Mark = ();
+    fn fork(&self) {}
+    fn join(&mut self, _worker: ()) {}
+    fn loop_enter(&mut self, _var: u32, _trip: u64, _kind: LoopKind) {}
+    fn loop_exit(&mut self, _var: u32, _mark: ()) {}
+}
+
 /// Execution context for the register bytecode: two scalar register
 /// files, a lane-vector shadow of each (used inside vectorized loops),
-/// and the variable frame.
-struct BcCtx<'a> {
+/// the variable frame and the observer.
+struct BcCtx<'a, O: Observer> {
     bufs: &'a [SharedBuf],
     threads: usize,
     frame: Vec<i64>,
@@ -1416,10 +1331,31 @@ struct BcCtx<'a> {
     vfr: Vec<[f32; LANES]>,
     vset: Vec<bool>,
     vfset: Vec<bool>,
-    /// Bytecode profile, present only under `TIRAMISU_PROFILE` — the off
-    /// path pays one `Option` check per statement block, never an
-    /// allocation.
-    prof: Option<Box<BcProf>>,
+    obs: O,
+}
+
+impl<'a, O: Observer> BcCtx<'a, O> {
+    fn new(
+        bufs: &'a [SharedBuf],
+        threads: usize,
+        frame: Vec<i64>,
+        ir: Vec<i64>,
+        fr: Vec<f32>,
+        obs: O,
+    ) -> BcCtx<'a, O> {
+        BcCtx {
+            bufs,
+            threads,
+            frame,
+            vir: vec![[0i64; LANES]; ir.len()],
+            vfr: vec![[0f32; LANES]; fr.len()],
+            vset: vec![false; ir.len()],
+            vfset: vec![false; fr.len()],
+            ir,
+            fr,
+            obs,
+        }
+    }
 }
 
 /// Every how many entries of a given loop statement one execution is
@@ -1437,8 +1373,8 @@ struct LoopProf {
     sampled_ns: u64,
 }
 
-/// The bytecode profiler state carried by a profiling execution
-/// (per-loop attribution plus instruction-class totals).
+/// The bytecode profiler (`TIRAMISU_PROFILE`): per-loop attribution plus
+/// instruction-class totals, one count per dispatch.
 #[derive(Default)]
 struct BcProf {
     loops: std::collections::HashMap<u32, LoopProf>,
@@ -1446,17 +1382,6 @@ struct BcProf {
 }
 
 impl BcProf {
-    fn merge(&mut self, o: &BcProf) {
-        for (var, lp) in &o.loops {
-            let dst = self.loops.entry(*var).or_default();
-            dst.entries += lp.entries;
-            dst.iters += lp.iters;
-            dst.sampled += lp.sampled;
-            dst.sampled_ns += lp.sampled_ns;
-        }
-        self.classes.merge(&o.classes);
-    }
-
     /// Emits the profile as telemetry counters, labelling loops with
     /// their source variable names. `est_us` counters scale the sampled
     /// wall time back to the full entry count and are inclusive (an
@@ -1484,10 +1409,129 @@ impl BcProf {
     }
 }
 
-fn bc_run_insts(insts: &[Inst], ctx: &mut BcCtx<'_>) -> Result<()> {
-    if let Some(p) = ctx.prof.as_deref_mut() {
-        p.classes.count(insts);
+impl Observer for BcProf {
+    /// Start time of a sampled loop entry.
+    type Mark = Option<std::time::Instant>;
+
+    fn fork(&self) -> BcProf {
+        BcProf::default()
     }
+
+    fn join(&mut self, worker: BcProf) {
+        for (var, lp) in worker.loops {
+            let dst = self.loops.entry(var).or_default();
+            dst.entries += lp.entries;
+            dst.iters += lp.iters;
+            dst.sampled += lp.sampled;
+            dst.sampled_ns += lp.sampled_ns;
+        }
+        self.classes.merge(&worker.classes);
+    }
+
+    fn insts(&mut self, insts: &[Inst]) {
+        self.classes.count(insts);
+    }
+
+    fn loop_enter(&mut self, var: u32, trip: u64, _kind: LoopKind) -> Self::Mark {
+        // Count every entry and trip, wall-time one entry in
+        // PROF_SAMPLE_PERIOD.
+        let lp = self.loops.entry(var).or_default();
+        lp.entries += 1;
+        lp.iters += trip;
+        (lp.entries % PROF_SAMPLE_PERIOD == 1).then(std::time::Instant::now)
+    }
+
+    fn loop_exit(&mut self, var: u32, mark: Self::Mark) {
+        if let Some(t0) = mark {
+            let lp = self.loops.entry(var).or_default();
+            lp.sampled += 1;
+            lp.sampled_ns += t0.elapsed().as_nanos() as u64;
+        }
+    }
+}
+
+/// The CPU cost model ([`Machine::run_with_stats`]): counts work and
+/// prices it under a [`CostModel`], with every memory access going
+/// through the cache simulator. Runs are single-threaded.
+struct CostObs<'a> {
+    /// Modeled base address of every buffer.
+    bases: &'a [u64],
+    cache: CacheSim,
+    stats: RunStats,
+    /// Depth of enclosing parallel loops (cycles are divided by the
+    /// modeled core count only at the outermost one).
+    parallel_depth: u32,
+}
+
+impl Observer for CostObs<'_> {
+    /// For a parallel loop: the cycle count at entry and the modeled
+    /// cores it is credited.
+    type Mark = Option<(f64, f64)>;
+
+    fn fork(&self) -> Self {
+        unreachable!("cost-model runs use one thread")
+    }
+
+    fn join(&mut self, _worker: Self) {
+        unreachable!("cost-model runs use one thread")
+    }
+
+    fn arith(&mut self, float: bool, lanes: u64) {
+        self.stats.cycles += self.cache.model().alu;
+        if float {
+            self.stats.flops += lanes;
+        }
+    }
+
+    /// Scalar accesses cost their cache latency. Lane groups cost the sum
+    /// over lanes amortized to one dispatch when the lanes are contiguous,
+    /// times the gather penalty when they are not.
+    fn access(&mut self, buf: u32, idx: &[i64], store: bool) {
+        let base = self.bases[buf as usize];
+        if store {
+            self.stats.stores += idx.len() as u64;
+        } else {
+            self.stats.loads += idx.len() as u64;
+        }
+        if let [i] = idx {
+            self.stats.cycles += self.cache.access(base + (*i as u64) * 4);
+            return;
+        }
+        let contiguous = idx.windows(2).all(|w| w[1] == w[0] + 1);
+        let mut total = 0.0;
+        for &i in idx {
+            total += self.cache.access(base + (i as u64) * 4);
+        }
+        let lanes = idx.len() as f64;
+        self.stats.cycles += if contiguous {
+            total / lanes
+        } else {
+            total * self.cache.model().gather_penalty / lanes
+        };
+    }
+
+    fn loop_enter(&mut self, _var: u32, trip: u64, kind: LoopKind) -> Self::Mark {
+        self.stats.iterations += trip;
+        matches!(kind, LoopKind::Parallel).then(|| {
+            self.parallel_depth += 1;
+            let cores = (self.cache.model().cores as u64).min(trip.max(1));
+            (self.stats.cycles, cores as f64)
+        })
+    }
+
+    fn loop_exit(&mut self, _var: u32, mark: Self::Mark) {
+        if let Some((before, cores)) = mark {
+            self.parallel_depth -= 1;
+            if self.parallel_depth == 0 {
+                let region = self.stats.cycles - before;
+                self.stats.cycles = before + region / cores;
+            }
+        }
+    }
+}
+
+fn bc_run_insts<O: Observer>(insts: &[Inst], ctx: &mut BcCtx<'_, O>) -> Result<()> {
+    ctx.obs.insts(insts);
     for inst in insts {
         match *inst {
             Inst::ConstI { dst, v } => ctx.ir[dst as usize] = v,
@@ -1496,12 +1540,15 @@ fn bc_run_insts(insts: &[Inst], ctx: &mut BcCtx<'_>) -> Result<()> {
             Inst::Load { dst, buf, idx } => {
                 let i = ctx.ir[idx as usize];
                 ctx.fr[dst as usize] = ctx.bufs[buf as usize].get(i)?;
+                ctx.obs.access(buf, &[i], false);
             }
             Inst::BinI { dst, op, a, b } => {
                 ctx.ir[dst as usize] = apply_i(op, ctx.ir[a as usize], ctx.ir[b as usize]);
+                ctx.obs.arith(false, 1);
             }
             Inst::BinF { dst, op, a, b } => {
                 ctx.fr[dst as usize] = apply_f(op, ctx.fr[a as usize], ctx.fr[b as usize]);
+                ctx.obs.arith(true, 1);
             }
             Inst::CmpI { dst, op, a, b } => {
                 ctx.ir[dst as usize] = cmp_i(op, ctx.ir[a as usize], ctx.ir[b as usize]);
@@ -1536,19 +1583,19 @@ fn bc_run_insts(insts: &[Inst], ctx: &mut BcCtx<'_>) -> Result<()> {
     Ok(())
 }
 
-fn bc_exec_block(body: &[BcStmt], ctx: &mut BcCtx<'_>) -> Result<()> {
+fn bc_exec_block<O: Observer>(body: &[BcStmt], ctx: &mut BcCtx<'_, O>) -> Result<()> {
     for s in body {
         bc_exec_stmt(s, ctx)?;
     }
     Ok(())
 }
 
-fn bc_eval_bound(code: &BCode, ctx: &mut BcCtx<'_>) -> Result<i64> {
+fn bc_eval_bound<O: Observer>(code: &BCode, ctx: &mut BcCtx<'_, O>) -> Result<i64> {
     bc_run_insts(&code.insts, ctx)?;
     Ok(ctx.ir[code.reg as usize])
 }
 
-fn bc_exec_stmt(s: &BcStmt, ctx: &mut BcCtx<'_>) -> Result<()> {
+fn bc_exec_stmt<O: Observer>(s: &BcStmt, ctx: &mut BcCtx<'_, O>) -> Result<()> {
     match s {
         BcStmt::Let { code, var, reg } => {
             bc_run_insts(code, ctx)?;
@@ -1559,7 +1606,9 @@ fn bc_exec_stmt(s: &BcStmt, ctx: &mut BcCtx<'_>) -> Result<()> {
             bc_run_insts(code, ctx)?;
             let i = ctx.ir[*idx as usize];
             let v = ctx.fr[*val as usize];
-            ctx.bufs[*buf as usize].set(i, v)
+            ctx.bufs[*buf as usize].set(i, v)?;
+            ctx.obs.access(*buf, &[i], true);
+            Ok(())
         }
         BcStmt::If { code, cond, then, else_ } => {
             bc_run_insts(code, ctx)?;
@@ -1572,17 +1621,7 @@ fn bc_exec_stmt(s: &BcStmt, ctx: &mut BcCtx<'_>) -> Result<()> {
         BcStmt::For { var, lower, upper, kind, preamble, body } => {
             let lo = bc_eval_bound(lower, ctx)?;
             let hi = bc_eval_bound(upper, ctx)?;
-            // Per-loop attribution: count every entry and trip, wall-time
-            // one entry in PROF_SAMPLE_PERIOD.
-            let sample_t0 = match ctx.prof.as_deref_mut() {
-                Some(p) => {
-                    let lp = p.loops.entry(*var).or_default();
-                    lp.entries += 1;
-                    lp.iters += (hi - lo).max(0) as u64;
-                    (lp.entries % PROF_SAMPLE_PERIOD == 1).then(std::time::Instant::now)
-                }
-                None => None,
-            };
+            let mark = ctx.obs.loop_enter(*var, hi.saturating_sub(lo).max(0) as u64, *kind);
             let r = match kind {
                 LoopKind::Parallel if ctx.threads > 1 && hi - lo > 1 => {
                     bc_exec_parallel(*var, lo, hi, preamble, body, ctx)
@@ -1599,23 +1638,19 @@ fn bc_exec_stmt(s: &BcStmt, ctx: &mut BcCtx<'_>) -> Result<()> {
                     Ok(())
                 }
             };
-            if let (Some(t0), Some(p)) = (sample_t0, ctx.prof.as_deref_mut()) {
-                let lp = p.loops.entry(*var).or_default();
-                lp.sampled += 1;
-                lp.sampled_ns += t0.elapsed().as_nanos() as u64;
-            }
+            ctx.obs.loop_exit(*var, mark);
             r
         }
     }
 }
 
-fn bc_exec_parallel(
+fn bc_exec_parallel<O: Observer>(
     var: u32,
     lo: i64,
     hi: i64,
     preamble: &[Inst],
     body: &[BcStmt],
-    ctx: &mut BcCtx<'_>,
+    ctx: &mut BcCtx<'_, O>,
 ) -> Result<()> {
     let n = (hi - lo) as usize;
     let workers = ctx.threads.min(n.max(1));
@@ -1623,12 +1658,11 @@ fn bc_exec_parallel(
     let bufs = ctx.bufs;
     // Workers snapshot the scalar state (registers computed in outer
     // preambles / the prologue stay readable) and run their range with a
-    // private context; buffers are the only shared state, as in the
-    // tree-walk parallel path.
+    // private context and observer; buffers are the only shared state.
     let frame_proto = &ctx.frame;
     let ir_proto = &ctx.ir;
     let fr_proto = &ctx.fr;
-    let profiled = ctx.prof.is_some();
+    let parent = &ctx.obs;
     let results = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(workers);
         for w in 0..workers {
@@ -1637,22 +1671,17 @@ fn bc_exec_parallel(
             if start >= end {
                 continue;
             }
-            handles.push(scope.spawn(move || -> (Result<()>, Option<Box<BcProf>>) {
-                let mut sub = BcCtx {
+            let obs = parent.fork();
+            handles.push(scope.spawn(move || -> (Result<()>, O) {
+                // Nested parallel loops run serially inside a worker.
+                let mut sub = BcCtx::new(
                     bufs,
-                    // Nested parallel loops run serially inside a worker.
-                    threads: 1,
-                    frame: frame_proto.clone(),
-                    ir: ir_proto.clone(),
-                    fr: fr_proto.clone(),
-                    vir: vec![[0i64; LANES]; ir_proto.len()],
-                    vfr: vec![[0f32; LANES]; fr_proto.len()],
-                    vset: vec![false; ir_proto.len()],
-                    vfset: vec![false; fr_proto.len()],
-                    // Workers profile into a private state merged into the
-                    // parent after the join.
-                    prof: profiled.then(Box::<BcProf>::default),
-                };
+                    1,
+                    frame_proto.clone(),
+                    ir_proto.clone(),
+                    fr_proto.clone(),
+                    obs,
+                );
                 let mut r = Ok(());
                 for v in start..end {
                     sub.frame[var as usize] = v;
@@ -1663,16 +1692,14 @@ fn bc_exec_parallel(
                         break;
                     }
                 }
-                (r, sub.prof.take())
+                (r, sub.obs)
             }));
         }
         handles.into_iter().map(|h| h.join().expect("worker panicked")).collect::<Vec<_>>()
     });
     let mut first_err = None;
-    for (r, p) in results {
-        if let (Some(dst), Some(src)) = (ctx.prof.as_deref_mut(), p) {
-            dst.merge(&src);
-        }
+    for (r, obs) in results {
+        ctx.obs.join(obs);
         if first_err.is_none() {
             first_err = r.err();
         }
@@ -1683,20 +1710,21 @@ fn bc_exec_parallel(
     }
 }
 
-/// Mirror of [`body_vectorizable`] for the optimized format. Also the
-/// JIT's criterion for lane-grouped `Vectorize` loops, so both tiers
-/// vectorize exactly the same loops.
+/// Whether a loop body runs lane-grouped: only stores and lets (the shape
+/// produced by vectorizing an innermost loop), the tree-walk's criterion
+/// too. Also the JIT's criterion for lane-grouped `Vectorize` loops, so
+/// every tier vectorizes exactly the same loops.
 pub(crate) fn bc_body_vectorizable(body: &[BcStmt]) -> bool {
     body.iter().all(|s| matches!(s, BcStmt::Store { .. } | BcStmt::Let { .. }))
 }
 
-fn bc_exec_vector(
+fn bc_exec_vector<O: Observer>(
     var: u32,
     lo: i64,
     hi: i64,
     preamble: &[Inst],
     body: &[BcStmt],
-    ctx: &mut BcCtx<'_>,
+    ctx: &mut BcCtx<'_, O>,
 ) -> Result<()> {
     let mut v = lo;
     while v + (LANES as i64) <= hi {
@@ -1717,12 +1745,12 @@ fn bc_exec_vector(
 /// lane-wise; registers written here are lane-vectors (`vset`), registers
 /// from outer scopes broadcast their scalar value. Like the tree-walk's
 /// overlay, lets do not write the scalar frame.
-fn bc_exec_vector_chunk(
+fn bc_exec_vector_chunk<O: Observer>(
     var: u32,
     base: i64,
     preamble: &[Inst],
     body: &[BcStmt],
-    ctx: &mut BcCtx<'_>,
+    ctx: &mut BcCtx<'_, O>,
 ) -> Result<()> {
     for f in ctx.vset.iter_mut() {
         *f = false;
@@ -1746,6 +1774,7 @@ fn bc_exec_vector_chunk(
                 for l in 0..LANES {
                     b.set(idxs[l], vals[l])?;
                 }
+                ctx.obs.access(*buf, &idxs, true);
             }
             _ => unreachable!("checked by bc_body_vectorizable"),
         }
@@ -1753,7 +1782,7 @@ fn bc_exec_vector_chunk(
     Ok(())
 }
 
-fn read_vi(ctx: &BcCtx<'_>, r: u16) -> [i64; LANES] {
+fn read_vi<O: Observer>(ctx: &BcCtx<'_, O>, r: u16) -> [i64; LANES] {
     if ctx.vset[r as usize] {
         ctx.vir[r as usize]
     } else {
@@ -1761,7 +1790,7 @@ fn read_vi(ctx: &BcCtx<'_>, r: u16) -> [i64; LANES] {
     }
 }
 
-fn read_vf(ctx: &BcCtx<'_>, r: u16) -> [f32; LANES] {
+fn read_vf<O: Observer>(ctx: &BcCtx<'_, O>, r: u16) -> [f32; LANES] {
     if ctx.vfset[r as usize] {
         ctx.vfr[r as usize]
     } else {
@@ -1769,17 +1798,15 @@ fn read_vf(ctx: &BcCtx<'_>, r: u16) -> [f32; LANES] {
     }
 }
 
-fn bc_run_vector_insts(
+fn bc_run_vector_insts<O: Observer>(
     insts: &[Inst],
     loop_var: u32,
     base: i64,
-    ctx: &mut BcCtx<'_>,
+    ctx: &mut BcCtx<'_, O>,
 ) -> Result<()> {
-    // One count per lane-group dispatch, mirroring how the vector path
+    // One dispatch per lane group, mirroring how the vector path
     // amortizes interpretation.
-    if let Some(p) = ctx.prof.as_deref_mut() {
-        p.classes.count(insts);
-    }
+    ctx.obs.insts(insts);
     for inst in insts {
         match *inst {
             Inst::ConstI { dst, v } => {
@@ -1812,6 +1839,7 @@ fn bc_run_vector_insts(
                 }
                 ctx.vfr[dst as usize] = out;
                 ctx.vfset[dst as usize] = true;
+                ctx.obs.access(buf, &idxs, false);
             }
             Inst::BinI { dst, op, a, b } => {
                 let x = read_vi(ctx, a);
@@ -1822,6 +1850,7 @@ fn bc_run_vector_insts(
                 }
                 ctx.vir[dst as usize] = out;
                 ctx.vset[dst as usize] = true;
+                ctx.obs.arith(false, LANES as u64);
             }
             Inst::BinF { dst, op, a, b } => {
                 let x = read_vf(ctx, a);
@@ -1832,6 +1861,7 @@ fn bc_run_vector_insts(
                 }
                 ctx.vfr[dst as usize] = out;
                 ctx.vfset[dst as usize] = true;
+                ctx.obs.arith(true, LANES as u64);
             }
             Inst::CmpI { dst, op, a, b } => {
                 let x = read_vi(ctx, a);
@@ -1914,23 +1944,6 @@ fn bc_run_vector_insts(
         }
     }
     Ok(())
-}
-
-/// Modeled cost of a vector memory operation: lane addresses go through
-/// the cache; contiguous lanes amortize to one dispatch, gathers pay the
-/// model's gather penalty.
-fn vector_mem_cost(ctx: &mut ExecCtx<'_>, buf: u32, idx: &[i64; LANES]) -> f64 {
-    let base = ctx.bases[buf as usize];
-    let contiguous = idx.windows(2).all(|w| w[1] == w[0] + 1);
-    let mut total = 0.0;
-    for &i in idx {
-        total += ctx.cache.access(base + (i as u64) * 4);
-    }
-    if contiguous {
-        total / LANES as f64
-    } else {
-        total * ctx.cache.model().gather_penalty / LANES as f64
-    }
 }
 
 #[cfg(test)]

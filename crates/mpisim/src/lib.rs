@@ -59,7 +59,7 @@
 //!   uniform — turning the classic hang-at-runtime bugs into
 //!   [`DistError::CommMismatch`] diagnostics.
 
-use loopvm::{eval_scalar, BcProgram, BufId, Expr, Machine, Program, RunStats, ScalarThunk, Stmt, Var};
+use loopvm::{BcProgram, BufId, Expr, Machine, Program, RunStats, ScalarThunk, Stmt, Var};
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -301,7 +301,9 @@ impl std::fmt::Display for DistStats {
 /// Execution options for [`run_with_opts`].
 #[derive(Debug, Clone)]
 pub struct RunOptions {
-    /// Collect detailed VM statistics (slower compute path).
+    /// Price every compute chunk with the CPU cost model
+    /// ([`Machine::run_bytecode_with_stats`]): slower, and the source of
+    /// [`DistStats::compute`] and the modeled compute cycles.
     pub stats_mode: bool,
     /// Fault schedule to inject; `None` runs fault-free.
     pub faults: Option<FaultPlan>,
@@ -689,8 +691,8 @@ struct ChunkEntry {
 /// conditions). Keys are the addresses of the borrowed nodes inside the
 /// [`DistProgram`] — stable for the run's lifetime. Compilation is lazy
 /// (`OnceLock::get_or_init`, first rank to reach a site compiles), so a
-/// chunk no rank executes is never compiled and error timing matches the
-/// tree-walk path.
+/// chunk no rank executes is never compiled and a compile error surfaces
+/// at the first rank that reaches the chunk.
 struct BcCache {
     chunks: HashMap<usize, ChunkEntry>,
     exprs: HashMap<usize, OnceLock<loopvm::Result<ScalarThunk>>>,
@@ -766,11 +768,6 @@ fn run_rank(
     }
     let mut machine = Machine::new(&dist.program);
     init(rank, &mut machine);
-    // The per-rank machine's exec mode (set by default policy or the
-    // `init` hook) selects the chunk executor: memoized optimized
-    // bytecode shared across ranks, or the tree-walk reference. Stats
-    // gathering needs the tree-walk's cost accounting.
-    let use_bc = machine.exec_mode() != loopvm::ExecMode::TreeWalk && !opts.stats_mode;
     let mut compute = RunStats::default();
     let mut counters = RankCounters::default();
     let bindings = [(dist.rank_var, rank as i64)];
@@ -778,54 +775,31 @@ fn run_rank(
     let mut seqs: HashMap<usize, u64> = HashMap::new();
     let vm = |e: loopvm::Error| DistError::Vm { rank, source: e };
 
-    let exec = |machine: &mut Machine,
-                compute: &mut RunStats,
-                stmts: &Vec<Stmt>|
-     -> loopvm::Result<()> {
-        if use_bc {
-            if let Some(entry) = cache.chunks.get(&addr_key(stmts)) {
-                // One compile per chunk shape, shared read-only across
-                // rank threads; the rank enters via the seeded frame.
-                let bc = entry
-                    .cell
-                    .get_or_init(|| loopvm::opt::compile_body(&dist.program, &entry.body));
-                return match bc {
-                    Ok(bc) => machine.run_bytecode_with_frame(bc, &bindings),
-                    Err(e) => Err(e.clone()),
-                };
-            }
-        }
-        let mut body: Vec<Stmt> =
-            vec![Stmt::let_(dist.rank_var, Expr::i64(rank as i64))];
-        body.extend_from_slice(&dist.preamble);
-        body.extend_from_slice(stmts);
-        let s = if opts.stats_mode {
-            machine.run_body_with_stats(&dist.program, &body)?
+    // Compute chunks run their memoized bytecode, compiled once per chunk
+    // shape and shared read-only across rank threads; the rank enters via
+    // the seeded frame. Stats mode prices the same bytecode.
+    let exec = |machine: &mut Machine, compute: &mut RunStats, stmts: &Vec<Stmt>| {
+        let entry = &cache.chunks[&addr_key(stmts)];
+        let bc = entry
+            .cell
+            .get_or_init(|| loopvm::opt::compile_body(&dist.program, &entry.body))
+            .as_ref()
+            .map_err(Clone::clone)?;
+        if opts.stats_mode {
+            compute.add(&machine.run_bytecode_with_stats(bc, &bindings)?);
+            Ok(())
         } else {
-            machine.run_body(&dist.program, &body)?
-        };
-        compute.stores += s.stores;
-        compute.loads += s.loads;
-        compute.flops += s.flops;
-        compute.iterations += s.iterations;
-        compute.cycles += s.cycles;
-        compute.l1_misses += s.l1_misses;
-        compute.l2_misses += s.l2_misses;
-        Ok(())
+            machine.run_bytecode_with_frame(bc, &bindings)
+        }
     };
 
     // Comm/conditional expressions: compiled once to integer thunks and
-    // reused per message in bytecode mode, tree-walked otherwise.
+    // reused per message.
     let scalar = |e: &Expr| -> loopvm::Result<i64> {
-        if use_bc {
-            if let Some(cell) = cache.exprs.get(&addr_key(e)) {
-                return match cell.get_or_init(|| ScalarThunk::compile(e)) {
-                    Ok(t) => Ok(t.eval(&bindings)),
-                    Err(err) => Err(err.clone()),
-                };
-            }
+        match cache.exprs[&addr_key(e)].get_or_init(|| ScalarThunk::compile(e)) {
+            Ok(t) => Ok(t.eval(&bindings)),
+            Err(err) => Err(err.clone()),
         }
-        eval_scalar(e, &bindings)
     };
 
     // Iterative interpretation via an explicit work list of (slice, pos).
@@ -1107,31 +1081,49 @@ mod tests {
     }
 
     #[test]
-    fn bytecode_chunks_match_tree_walk_bit_exact() {
-        // Same program, both executors, gathered outputs bit-compared.
-        let gather = |tree_walk: bool| -> Vec<u32> {
+    fn bytecode_chunks_compute_exact_values_and_stats() {
+        // Each rank fills its chunk with its id and receives rank+1's
+        // first element into its halo slot; stats mode prices the same
+        // chunk bytecode and must leave identical buffers.
+        let gather = |stats_mode: bool| -> (Vec<Vec<f32>>, DistStats) {
             let prog = ring_program(4);
             let out = std::sync::Mutex::new(vec![vec![]; 4]);
-            run_with_opts(
+            let opts = RunOptions { stats_mode, ..RunOptions::default() };
+            let stats = run_with_opts(
                 &prog,
                 4,
                 &CommModel::default(),
-                &RunOptions::default(),
-                move |_rank, machine: &mut Machine| {
-                    if tree_walk {
-                        machine.set_exec_mode(loopvm::ExecMode::TreeWalk);
-                    }
-                },
+                &opts,
+                |_, _| {},
                 |rank, machine: &Machine| {
-                    let data = machine.buffer(prog.program.nth_buffer(0));
-                    out.lock().unwrap()[rank] = data.iter().map(|v| v.to_bits()).collect();
+                    out.lock().unwrap()[rank] =
+                        machine.buffer(prog.program.nth_buffer(0)).to_vec();
                 },
             )
             .unwrap();
-            let guard = out.lock().unwrap();
-            guard.iter().flatten().copied().collect()
+            (out.into_inner().unwrap(), stats)
         };
-        assert_eq!(gather(false), gather(true));
+        let (data, plain) = gather(false);
+        for (rank, d) in data.iter().enumerate() {
+            let halo = if rank < 3 { rank as f32 + 1.0 } else { 0.0 };
+            let r = rank as f32;
+            assert_eq!(d, &[r, r, r, r, halo], "rank {rank}");
+        }
+        assert!(plain.compute.iter().all(|c| *c == RunStats::default()));
+        let (stats_data, stats) = gather(true);
+        assert_eq!(stats_data, data);
+        for c in &stats.compute {
+            // Four stores: one cold miss to memory, three L1 hits.
+            let expect = RunStats {
+                stores: 4,
+                iterations: 4,
+                cycles: 1.0 + 10.0 + 60.0 + 3.0,
+                l1_misses: 1,
+                l2_misses: 1,
+                ..RunStats::default()
+            };
+            assert_eq!(*c, expect);
+        }
     }
 
     #[test]

@@ -75,7 +75,7 @@ use std::time::{Duration, Instant};
 
 /// The one boolean environment-flag rule shared by every knob in the
 /// workspace (`TIRAMISU_TRACE`, `TIRAMISU_DISASM`, `TIRAMISU_PROFILE`,
-/// `LOOPVM_TREEWALK`, `GPUSIM_TREEWALK`): the flag is **on** iff the
+/// `LOOPVM_JIT`): the flag is **on** iff the
 /// variable is set to a non-empty value other than `"0"`. In particular
 /// `""` and `"0"` are both off, so `FLAG=0` reliably disables a flag a
 /// wrapper script exported.

@@ -49,10 +49,6 @@ fn run_fresh(p: &Program) -> (Compiles, Vec<f32>) {
             .map(|c| c.get())
     };
     let mut m = Machine::new(p);
-    // The tree-walk reference (`LOOPVM_TREEWALK`) uses no compiled code.
-    if m.exec_mode() == ExecMode::TreeWalk {
-        m.set_exec_mode(ExecMode::Bytecode);
-    }
     let input = p.buffer_by_name("in").unwrap();
     m.buffer_mut(input).iter_mut().enumerate().for_each(|(k, v)| *v = k as f32);
     let before = read();

@@ -5,11 +5,14 @@
 //! sequences, then compiled and executed every way the repo can:
 //!
 //! - CPU bytecode (the optimizing register-VM path, `Machine::run`),
-//! - CPU tree-walk (the reference evaluator, `Machine::run_tree_walk`),
+//! - CPU native code (the JIT tier, where the target has one),
+//! - CPU bytecode under the cost model (`Machine::run_with_stats`),
 //! - the GPU backend (`tile_gpu` + SIMT simulator),
 //! - the distributed backend (`split` + `distribute` over 2 ranks).
 //!
-//! All paths must produce **bit-identical** buffers. Deliberately illegal
+//! Every path must produce buffers **bit-identical** to the CPU tree-walk
+//! oracle (`Machine::run_tree_walk`), on every buffer the modules share
+//! by name. Deliberately illegal
 //! schedules (consumer ordered before its producer) must be rejected at
 //! compile time, never miscompiled into a runnable module.
 //!
@@ -214,15 +217,35 @@ fn diff_service() -> &'static tiramisu::CompileService {
 }
 
 fn run_cpu(module: &tiramisu::CpuModule, mode: loopvm::ExecMode) -> Vec<Vec<u32>> {
+    run_cpu_with(module, |m, p| {
+        m.set_exec_mode(mode);
+        m.run(p).unwrap();
+    })
+}
+
+/// Runs the CPU module through `run` on a fresh 2-thread machine with the
+/// input filled, returning every buffer's bit pattern.
+fn run_cpu_with(
+    module: &tiramisu::CpuModule,
+    run: impl FnOnce(&mut loopvm::Machine, &loopvm::Program),
+) -> Vec<Vec<u32>> {
     let mut m = module.machine();
     m.set_threads(2);
-    m.set_exec_mode(mode);
     fill(m.buffer_mut(module.vm_buffer("in").unwrap()), 7);
-    m.run(&module.program).unwrap();
+    run(&mut m, &module.program);
     (0..module.program.n_buffers())
-        .map(|b| {
-            m.buffer(module.program.nth_buffer(b)).iter().map(|v| v.to_bits()).collect()
-        })
+        .map(|b| bits(m.buffer(module.program.nth_buffer(b))))
+        .collect()
+}
+
+fn bits(buf: &[f32]) -> Vec<u32> {
+    buf.iter().map(|v| v.to_bits()).collect()
+}
+
+/// The names of every buffer of a CPU module's program.
+fn buffer_names(module: &tiramisu::CpuModule) -> Vec<String> {
+    (0..module.program.n_buffers())
+        .map(|b| module.program.buffer_info(module.program.nth_buffer(b)).0.to_string())
         .collect()
 }
 
@@ -252,7 +275,7 @@ proptest! {
             return Ok(());
         }
 
-        // --- CPU: scheduled, jit vs bytecode vs tree-walk --------------
+        // --- CPU: scheduled, jit vs bytecode vs stats vs tree-walk -----
         let (mut f, bx, by) = build(&alg);
         apply_sched(&mut f, bx, &sched1);
         if let Some(by) = by {
@@ -267,6 +290,11 @@ proptest! {
         // passes (trivially) with zero changes.
         let jitted = run_cpu(&module, loopvm::ExecMode::Jit);
         prop_assert_eq!(&fast, &jitted, "bytecode vs jit: {:?}", &alg);
+        // The cost-model observer must not change what the program does.
+        let priced = run_cpu_with(&module, |m, p| {
+            m.run_with_stats(p).unwrap();
+        });
+        prop_assert_eq!(&fast, &priced, "bytecode vs run_with_stats: {:?}", &alg);
 
         // The unscheduled program must compute the same values (schedule
         // commands are semantics-preserving by construction).
@@ -319,21 +347,20 @@ proptest! {
             bufs[gm.buffer_index(out_name).unwrap()].iter().map(|v| v.to_bits()).collect();
         prop_assert_eq!(cpu_out, &gpu_out, "CPU vs GPU: {:?}", &alg);
 
-        // GPU lane: the default run above executed the stored warp
-        // bytecode; the tree-walk reference must agree on every buffer.
-        let mut tw_bufs = gm.alloc_buffers();
-        fill(&mut tw_bufs[gm.buffer_index("in").unwrap()], 7);
-        for k in &gm.kernels {
-            gpusim::launch_tree_walk(k, &mut tw_bufs, &gpusim::GpuModel::default()).unwrap();
+        // GPU lane: the stored warp bytecode must match the CPU oracle on
+        // every buffer the two modules share by name.
+        let names = buffer_names(&module);
+        let mut shared = 0;
+        for (cb, name) in names.iter().enumerate() {
+            if let Some(gb) = gm.buffer_index(name) {
+                shared += 1;
+                prop_assert_eq!(
+                    &reference[cb], &bits(&bufs[gb]),
+                    "GPU vs CPU oracle (buffer {}): {:?}", name, &alg
+                );
+            }
         }
-        for (b, (fast_buf, tw_buf)) in bufs.iter().zip(&tw_bufs).enumerate() {
-            let fast_bits: Vec<u32> = fast_buf.iter().map(|v| v.to_bits()).collect();
-            let tw_bits: Vec<u32> = tw_buf.iter().map(|v| v.to_bits()).collect();
-            prop_assert_eq!(
-                &fast_bits, &tw_bits,
-                "GPU bytecode vs tree-walk (buffer {}): {:?}", b, &alg
-            );
-        }
+        prop_assert!(shared >= 2, "GPU module shares only {} buffers", shared);
 
         // --- distributed backend --------------------------------------
         // Distribute the final stage's rows over 2 ranks; earlier stages
@@ -348,76 +375,66 @@ proptest! {
         fd.split(dist_comp, "i", chunk, "i0", "i1").unwrap();
         fd.distribute(dist_comp, "i0").unwrap();
         let dm = compile_dist(&fd, &[("N", N), ("M", M)], DistOptions::default()).unwrap();
-        let out_buf = dm.vm_buffer(out_name).unwrap();
+        // Each rank's buffers by CPU buffer index (`None` where the dist
+        // module has no buffer of that name).
+        let rank_bufs: Mutex<Vec<Vec<Option<Vec<u32>>>>> = Mutex::new(vec![vec![]; RANKS]);
+        mpisim::run_with_opts(
+            &dm.dist,
+            RANKS,
+            &CommModel::default(),
+            &RunOptions::default(),
+            |_rank, machine| {
+                fill(machine.buffer_mut(dm.vm_buffer("in").unwrap()), 7);
+            },
+            |rank, machine| {
+                rank_bufs.lock().unwrap()[rank] = names
+                    .iter()
+                    .map(|n| dm.vm_buffer(n).map(|b| bits(machine.buffer(b))))
+                    .collect();
+            },
+        )
+        .unwrap();
+        // Dist lane: every rank owns `chunk` rows of the distributed
+        // computation's buffer and must hold the whole of every other
+        // shared buffer, all bit-identical to the CPU oracle.
         let row_len = M as usize;
-        let gathered = Mutex::new(vec![0u32; (chunk as usize) * RANKS * row_len]);
-        mpisim::run_with_opts(
-            &dm.dist,
-            RANKS,
-            &CommModel::default(),
-            &RunOptions::default(),
-            |_rank, machine| {
-                fill(machine.buffer_mut(dm.vm_buffer("in").unwrap()), 7);
-            },
-            |rank, machine| {
-                let vals = machine.buffer(out_buf);
-                let lo = rank * chunk as usize * row_len;
-                let n = chunk as usize * row_len;
-                let bits: Vec<u32> = vals[lo..lo + n].iter().map(|v| v.to_bits()).collect();
-                gathered.lock().unwrap()[lo..lo + n].copy_from_slice(&bits);
-            },
-        )
-        .unwrap();
-        let dist_out = gathered.into_inner().unwrap();
-        prop_assert_eq!(
-            &cpu_out[..dist_out.len()],
-            &dist_out[..],
-            "CPU vs dist: {:?}", &alg
-        );
-
-        // Dist lane: rerun with every rank forced onto the tree-walk
-        // evaluator (the init hook flips the machine before the rank
-        // program starts, disabling the memoized chunk bytecode and the
-        // comm thunks alike); results must be bit-identical.
-        let gathered_tw = Mutex::new(vec![0u32; (chunk as usize) * RANKS * row_len]);
-        mpisim::run_with_opts(
-            &dm.dist,
-            RANKS,
-            &CommModel::default(),
-            &RunOptions::default(),
-            |_rank, machine| {
-                machine.set_exec_mode(loopvm::ExecMode::TreeWalk);
-                fill(machine.buffer_mut(dm.vm_buffer("in").unwrap()), 7);
-            },
-            |rank, machine| {
-                let vals = machine.buffer(out_buf);
-                let lo = rank * chunk as usize * row_len;
-                let n = chunk as usize * row_len;
-                let bits: Vec<u32> = vals[lo..lo + n].iter().map(|v| v.to_bits()).collect();
-                gathered_tw.lock().unwrap()[lo..lo + n].copy_from_slice(&bits);
-            },
-        )
-        .unwrap();
-        let dist_tw_out = gathered_tw.into_inner().unwrap();
-        prop_assert_eq!(
-            &dist_out, &dist_tw_out,
-            "dist bytecode vs tree-walk: {:?}", &alg
-        );
+        for (rank, bufs) in rank_bufs.into_inner().unwrap().iter().enumerate() {
+            for (cb, (name, buf)) in names.iter().zip(bufs).enumerate() {
+                let Some(buf) = buf else { continue };
+                let (lo, hi) = if name == out_name {
+                    let n = chunk as usize * row_len;
+                    (rank * n, (rank + 1) * n)
+                } else {
+                    (0, buf.len())
+                };
+                prop_assert_eq!(
+                    &reference[cb][lo..hi], &buf[lo..hi],
+                    "dist rank {} vs CPU oracle (buffer {}): {:?}", rank, name, &alg
+                );
+            }
+        }
     }
 }
 
 // ----------------------------------------------------- trap differential --
 
-/// Runs `p` under `mode` and reduces the observable outcome to a string:
-/// `ok`, the runtime `Error`'s display text, or the panic payload text.
-/// The JIT deopts to the interpreter's scalar helpers on every trapping
-/// instruction, so all three executors must produce the *same* string.
-fn trap_outcome(p: &loopvm::Program, mode: loopvm::ExecMode) -> String {
+/// Runs `p` under `mode` (`None`: [`loopvm::Machine::run_with_stats`])
+/// and reduces the observable outcome to a string: `ok`, the runtime
+/// `Error`'s display text, or the panic payload text. The JIT deopts to
+/// the interpreter's scalar helpers on every trapping instruction, so
+/// every executor must produce the *same* string.
+fn trap_outcome(p: &loopvm::Program, mode: Option<loopvm::ExecMode>) -> String {
     use std::panic::{catch_unwind, AssertUnwindSafe};
     let mut m = loopvm::Machine::new(p);
     m.set_threads(2);
-    m.set_exec_mode(mode);
-    match catch_unwind(AssertUnwindSafe(|| m.run(p))) {
+    let run = || match mode {
+        Some(mode) => {
+            m.set_exec_mode(mode);
+            m.run(p)
+        }
+        None => m.run_with_stats(p).map(|_| ()),
+    };
+    match catch_unwind(AssertUnwindSafe(run)) {
         Ok(Ok(())) => "ok".to_string(),
         Ok(Err(e)) => format!("err: {e}"),
         Err(payload) => {
@@ -432,8 +449,9 @@ fn trap_outcome(p: &loopvm::Program, mode: loopvm::ExecMode) -> String {
 }
 
 /// Traps (out-of-bounds accesses, division by zero) must produce the
-/// identical error or panic on the JIT, bytecode, and tree-walk tiers —
-/// values agreeing is not enough, the failure paths must agree too.
+/// identical error or panic on the JIT, bytecode, cost-model and
+/// tree-walk tiers — values agreeing is not enough, the failure paths
+/// must agree too.
 #[test]
 fn traps_agree_across_executors() {
     use loopvm::{Expr, LoopKind, Program, Stmt};
@@ -517,9 +535,10 @@ fn traps_agree_across_executors() {
 
     let mut failures = Vec::new();
     for (name, p, expected) in &cases {
-        let jit = trap_outcome(p, loopvm::ExecMode::Jit);
-        let bc = trap_outcome(p, loopvm::ExecMode::Bytecode);
-        let tw = trap_outcome(p, loopvm::ExecMode::TreeWalk);
+        let jit = trap_outcome(p, Some(loopvm::ExecMode::Jit));
+        let bc = trap_outcome(p, Some(loopvm::ExecMode::Bytecode));
+        let tw = trap_outcome(p, Some(loopvm::ExecMode::TreeWalk));
+        let stats = trap_outcome(p, None);
         if bc != *expected {
             failures.push(format!("{name}: bytecode produced {bc:?}, expected {expected:?}"));
         }
@@ -528,6 +547,9 @@ fn traps_agree_across_executors() {
         }
         if tw != bc {
             failures.push(format!("{name}: tree-walk produced {tw:?}, bytecode {bc:?}"));
+        }
+        if stats != bc {
+            failures.push(format!("{name}: run_with_stats produced {stats:?}, bytecode {bc:?}"));
         }
     }
 
